@@ -269,6 +269,32 @@ type serveLimits struct {
 	pool           int // concurrent runs; 0 = NumCPU
 	queue          int // waiting requests before 429; 0 = 2*pool
 	requestTimeout time.Duration
+	maxBody        int64 // request body cap in bytes; 0 = maxBodyBytes
+}
+
+// maxBodyBytes caps every request body the service reads: a CSV or JSON
+// batch on /v1/impute and a delta on /v1/delta. A longer body is
+// answered 413 with code too_large.
+const maxBodyBytes = 64 << 20
+
+func (l serveLimits) bodyLimit() int64 {
+	if l.maxBody > 0 {
+		return l.maxBody
+	}
+	return maxBodyBytes
+}
+
+// writeBodyError answers a request whose body could not be read or
+// parsed: 413 too_large when it ran past the body cap, otherwise 400
+// bad_request with msg prefixed to the cause.
+func writeBodyError(w http.ResponseWriter, err error, msg string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, "too_large",
+			fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad_request", msg+err.Error())
 }
 
 func (l serveLimits) poolSize() int {
@@ -598,9 +624,9 @@ func newServeMux(sess *renuver.Session, metrics *renuver.MetricsRecorder,
 			defer cancel()
 		}
 
-		rel, err := renuver.LoadCSV(r.Body)
+		rel, err := renuver.LoadCSV(http.MaxBytesReader(w, r.Body, limits.bodyLimit()))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "bad CSV: "+err.Error())
+			writeBodyError(w, err, "bad CSV: ")
 			return
 		}
 		start := time.Now()

@@ -202,9 +202,9 @@ func handleBatchImpute(w http.ResponseWriter, r *http.Request, sess *renuver.Ses
 		defer cancel()
 	}
 
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limits.bodyLimit()))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		writeBodyError(w, err, "reading body: ")
 		return
 	}
 	var tuples []map[string]json.RawMessage

@@ -292,3 +292,14 @@ func TestServeBatchContentNegotiation(t *testing.T) {
 		t.Fatalf("unversioned batch totals = %+v", resp)
 	}
 }
+
+// TestServeBatchBodyTooLarge: a JSON batch up to the cap is imputed, one
+// byte more is refused with 413 before any tuple is decoded.
+func TestServeBatchBodyTooLarge(t *testing.T) {
+	body := `{"tuples": [{"Name": "Spago", "City": null, "Phone": "310/652-4025"}]}`
+	mux, _, _ := batchTestMux(t, serveLimits{maxBody: int64(len(body))})
+	if rec := postBatch(mux, body); rec.Code != http.StatusOK {
+		t.Fatalf("batch at the cap = %d: %s", rec.Code, rec.Body.String())
+	}
+	assertTooLarge(t, postBatch(mux, body+" "))
+}

@@ -161,9 +161,9 @@ func handleDelta(w http.ResponseWriter, r *http.Request, sess *renuver.Session,
 		defer cancel()
 	}
 
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limits.bodyLimit()))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "reading body: "+err.Error())
+		writeBodyError(w, err, "reading body: ")
 		return
 	}
 	d, err := decodeDelta(schema, body)

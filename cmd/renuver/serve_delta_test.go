@@ -297,3 +297,19 @@ func TestDeltaCLIValidation(t *testing.T) {
 	}
 
 }
+
+// TestServeDeltaBodyTooLarge: a delta body past the cap is refused with
+// 413 and applies nothing; the next delta within the cap publishes
+// epoch 1.
+func TestServeDeltaBodyTooLarge(t *testing.T) {
+	body := `{"deletes": [4]}`
+	mux, _, _ := batchTestMux(t, serveLimits{maxBody: int64(len(body))})
+	assertTooLarge(t, postDelta(mux, "/v1/delta", body+strings.Repeat(" ", 64)))
+	rec := postDelta(mux, "/v1/delta", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("delta at the cap = %d: %s", rec.Code, rec.Body.String())
+	}
+	if res := decodeDeltaResult(t, rec); res.Epoch != 1 || res.Deleted != 1 {
+		t.Fatalf("delta after the refused one = epoch %d, deleted %d; want 1, 1", res.Epoch, res.Deleted)
+	}
+}

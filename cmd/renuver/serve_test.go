@@ -180,6 +180,35 @@ func TestServeImputeRejectsBadInput(t *testing.T) {
 	}
 }
 
+// assertTooLarge checks the answer to a body past the serve body cap:
+// 413 with the too_large error envelope.
+func assertTooLarge(t *testing.T, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body = %d, want 413: %s", rec.Code, rec.Body.String())
+	}
+	if msg, code := decodeEnvelope(t, rec); code != "too_large" || msg == "" {
+		t.Fatalf("413 envelope = (%q, %q)", msg, code)
+	}
+}
+
+// TestServeImputeBodyTooLarge: a CSV body up to the cap is imputed, one
+// byte more is refused with 413.
+func TestServeImputeBodyTooLarge(t *testing.T) {
+	mux, _, _ := batchTestMux(t, serveLimits{maxBody: int64(len(paperCSV))})
+	post := func(body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest("POST", "/v1/impute", strings.NewReader(body))
+		req.Header.Set("Content-Type", "text/csv")
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := post(paperCSV); rec.Code != http.StatusOK {
+		t.Fatalf("CSV at the cap = %d: %s", rec.Code, rec.Body.String())
+	}
+	assertTooLarge(t, post(paperCSV+"\n"))
+}
+
 func TestServeImputeContentTypes(t *testing.T) {
 	mux, _ := newTestMux(t)
 

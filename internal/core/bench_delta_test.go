@@ -9,6 +9,12 @@ import (
 	"repro/internal/dataset"
 )
 
+// benchDeltaWorkers pins the delta fixtures to one worker. With Workers
+// left at 0, Σ revalidation fans out to runtime.NumCPU() goroutines, so
+// allocs/op would depend on the host's CPU count and could not be gated
+// against a baseline recorded elsewhere.
+var benchDeltaWorkers = WithWorkers(1)
+
 // benchSteadyDelta builds the steady-state mutation for iteration i
 // over an n-row instance: one cell rewrite, one delete, one insert of
 // the deleted row's values — the row count is invariant, so row handles
@@ -31,7 +37,7 @@ func benchSteadyDelta(rel *dataset.Relation, i, n int) Delta {
 func BenchmarkApplyDelta(b *testing.B) {
 	base := benchRelation(b, 40) // 200 tuples
 	sigma := figure1Sigma(b, base.Schema())
-	sess, err := NewSession(base, sigma)
+	sess, err := NewSession(base, sigma, benchDeltaWorkers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,7 +60,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 func BenchmarkImputeUnderDeltas(b *testing.B) {
 	base := benchRelation(b, 40)
 	sigma := figure1Sigma(b, base.Schema())
-	sess, err := NewSession(base, sigma)
+	sess, err := NewSession(base, sigma, benchDeltaWorkers)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -92,7 +98,7 @@ func TestBenchDeltaJSON(t *testing.T) {
 	// not comparable).
 	base := benchRelation(t, 40)
 	sigma := figure1Sigma(t, base.Schema())
-	sess, err := NewSession(base, sigma)
+	sess, err := NewSession(base, sigma, benchDeltaWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}

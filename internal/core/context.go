@@ -46,8 +46,10 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 
 	// One kernel arena for the run goroutine: every serial scan below
 	// evaluates through it, so the string kernels never allocate.
-	// Parallel scans give each worker its own.
+	// Parallel scans give each worker its own. The verify plan's buffers
+	// are likewise reused from cell to cell.
 	m := eng.Matcher()
+	var plan verifyPlan
 
 	preStart := time.Now()
 	preSpan := sp.Child("preprocess")
@@ -88,7 +90,7 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 				cell.Str("attr", schema.Attr(attr).Name)
 				hits0, misses0 = eng.CacheStats()
 			}
-			imputed, err := im.imputeMissingValue(ctx, m, row, attr, sigmaPrime, clusters, res, idx, cell)
+			imputed, err := im.imputeMissingValue(ctx, m, &plan, row, attr, sigmaPrime, clusters, res, idx, cell)
 			if cell.Enabled() {
 				hits1, misses1 := eng.CacheStats()
 				cell.Int("cache_hit_delta", hits1-hits0)

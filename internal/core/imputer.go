@@ -221,8 +221,10 @@ type candidate struct {
 // reverted) but the cell unresolved. idx may be nil (no donor index
 // available). m is the run goroutine's matcher over the compiled view
 // of the working relation (plus, for the multi-dataset extension, the
-// donor pool): candidate rows are flat view indices.
-func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, row, attr int,
+// donor pool): candidate rows are flat view indices. plan is the run
+// goroutine's verify plan, rebuilt for this cell by its first untraced
+// verification and reused by every later candidate of every cluster.
+func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, plan *verifyPlan, row, attr int,
 	sigmaPrime rfd.Set, clusters []rfd.Cluster, res *Result, idx donorIndex, cell obs.Span) (bool, error) {
 
 	rec := im.opts.recorder()
@@ -233,6 +235,7 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, ro
 		ct.Add(obs.CellStarted(len(clusters)))
 		defer res.addTrace(dataset.Cell{Row: row, Attr: attr}, ct)
 	}
+	plan.reset(row, attr)
 	anyCandidate := false
 	for _, cluster := range clusters {
 		if ctx.Err() != nil {
@@ -314,6 +317,7 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, ro
 			limit = im.opts.MaxCandidates
 		}
 		verifySpan := cell.Child("verify")
+		plannedBefore := plan.state != planPending
 		for k := 0; k < limit; k++ {
 			if ctx.Err() != nil {
 				verifySpan.End()
@@ -343,7 +347,7 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, ro
 						violated.Format(work.Schema()), witness))
 				}
 			} else {
-				faultless = im.isFaultlessParallel(ctx, m, row, attr, sigmaPrime)
+				faultless = plan.faultless(ctx, im, m, sigmaPrime)
 			}
 			res.Stats.Phases.Verify += time.Since(verifyStart)
 			if ctx.Err() != nil {
@@ -368,21 +372,13 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, ro
 					rec.Observe(obs.HistAttemptsPerImputation, float64(k+1))
 				}
 				ct.Add(obs.CellResolved(donorRow, source, value.String(), cand.dist, k+1))
-				if verifySpan.Enabled() {
-					verifySpan.Int("attempts", int64(k+1))
-					verifySpan.Int("faultless", 1)
-				}
-				verifySpan.End()
+				endVerifySpan(verifySpan, k+1, 1, plan, plannedBefore)
 				return true, nil
 			}
 			res.Stats.VerifyRejections++
 			eng.Set(row, attr, dataset.Null) // revert
 		}
-		if verifySpan.Enabled() {
-			verifySpan.Int("attempts", int64(limit))
-			verifySpan.Int("faultless", 0)
-		}
-		verifySpan.End()
+		endVerifySpan(verifySpan, limit, 0, plan, plannedBefore)
 	}
 	if ct != nil {
 		note := "no plausible candidate tuple in any cluster"
@@ -392,6 +388,27 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, ro
 		ct.Add(obs.CellAbandoned(note))
 	}
 	return false, nil
+}
+
+// endVerifySpan closes one cluster's verify span. Beside the attempt
+// count and the outcome it reports the cell's verify plan: planned is 1
+// on the span whose verification built it, armed_rows the target rows
+// it armed.
+func endVerifySpan(sp obs.Span, attempts int, faultless int64, plan *verifyPlan, plannedBefore bool) {
+	if !sp.Enabled() {
+		return
+	}
+	sp.Int("attempts", int64(attempts))
+	sp.Int("faultless", faultless)
+	if plan.state == planArmed {
+		planned := int64(0)
+		if !plannedBefore {
+			planned = 1
+		}
+		sp.Int("planned", planned)
+		sp.Int("armed_rows", int64(len(plan.rows)))
+	}
+	sp.End()
 }
 
 // findCandidateTuples is Algorithm 3: every tuple t_j ≠ t with a value on
@@ -440,58 +457,4 @@ func findCandidateTuplesIndexed(ctx context.Context, m *engine.Matcher, rows []i
 		}
 	}
 	return cands
-}
-
-// isFaultless is Algorithm 4: after tentatively imputing t[A], check that
-// no tuple pair (t, t_i) witnesses a violation of a dependency that
-// constrains A. Under VerifyLHS (the literal Algorithm 4) only RFDcs with
-// A on the LHS are re-checked; VerifyBothSides also re-checks RFDcs with
-// A as RHS attribute, giving the full Definition 4.3 guarantee.
-func (im *Imputer) isFaultless(ctx context.Context, m *engine.Matcher, row, attr int, sigmaPrime rfd.Set) bool {
-	ok, _, _ := im.isFaultlessWitness(ctx, m, row, attr, sigmaPrime)
-	return ok
-}
-
-// isFaultlessWitness is isFaultless with provenance: on rejection it also
-// returns the violated dependency and the row of the witness tuple t_i —
-// the two facts a decision trace needs to justify a CandidateRejected.
-// Verification scans only the target rows of the view: semantic
-// consistency per Definition 4.3 concerns the target instance, never the
-// donor pool.
-func (im *Imputer) isFaultlessWitness(ctx context.Context, m *engine.Matcher, row, attr int, sigmaPrime rfd.Set) (bool, *rfd.RFD, int) {
-	if im.opts.Verify == VerifyOff {
-		return true, nil, -1
-	}
-	relevant := im.relevantForVerify(sigmaPrime, attr)
-	if len(relevant) == 0 {
-		return true, nil, -1
-	}
-	for i := 0; i < m.View().TargetLen(); i++ {
-		if i%engine.CheckEvery == 0 && ctx.Err() != nil {
-			// No verdict under an expired context; the caller re-checks
-			// ctx and discards whatever this returns.
-			return false, nil, -1
-		}
-		if i == row {
-			continue
-		}
-		for _, dep := range relevant {
-			if m.Violates(dep, row, i) {
-				return false, dep, i
-			}
-		}
-	}
-	return true, nil, -1
-}
-
-// relevantForVerify selects the dependencies IS_FAULTLESS must re-check
-// after imputing attr, per the configured verification mode.
-func (im *Imputer) relevantForVerify(sigmaPrime rfd.Set, attr int) rfd.Set {
-	var relevant rfd.Set
-	for _, dep := range sigmaPrime {
-		if dep.HasLHSAttr(attr) || (im.opts.Verify == VerifyBothSides && dep.RHS.Attr == attr) {
-			relevant = append(relevant, dep)
-		}
-	}
-	return relevant
 }

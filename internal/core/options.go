@@ -87,10 +87,11 @@ type Options struct {
 	// tried per cluster before moving on. Zero means unlimited.
 	MaxCandidates int
 	// Workers, when above 1, parallelizes the tuple scans (candidate
-	// generation, verification, and the initial key-RFDc detection)
-	// across that many goroutines. Results are bit-identical to the
-	// serial run; the imputation loop itself stays sequential because
-	// imputed tuples become donors for later cells.
+	// generation and the initial key-RFDc detection) across that many
+	// goroutines. Results are bit-identical to the serial run; the
+	// imputation loop itself stays sequential because imputed tuples
+	// become donors for later cells, and verification runs on the run
+	// goroutine through the cell's verify plan.
 	Workers int
 	// NoIndex disables the donor index — the inverted value index on
 	// equality-constrained (threshold 0) LHS attributes that lets

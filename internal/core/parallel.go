@@ -6,28 +6,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine"
+	"repro/internal/par"
 	"repro/internal/rfd"
 )
-
-// chunkRanges splits [0, n) into at most workers contiguous ranges.
-func chunkRanges(n, workers int) [][2]int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var out [][2]int
-	size := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
 
 // findCandidateTuplesParallel computes the same candidate list as
 // findCandidateTuples, chunking the donor scan across workers. Chunks
@@ -53,7 +34,7 @@ func findCandidateTuplesParallel(ctx context.Context, m *engine.Matcher, row, at
 	if workers <= 1 || n < 2*workers {
 		return findCandidateTuples(ctx, m, row, attr, deps)
 	}
-	ranges := chunkRanges(n, workers)
+	ranges := par.Chunks(n, workers)
 	parts := make([][]candidate, len(ranges))
 	var wg sync.WaitGroup
 	for ci, rg := range ranges {
@@ -87,52 +68,6 @@ func findCandidateTuplesParallel(ctx context.Context, m *engine.Matcher, row, at
 	return out
 }
 
-// isFaultlessParallel mirrors isFaultless with a chunked scan over the
-// target rows; the first violation found anywhere flips a shared flag
-// and stops the other workers at their next check.
-func (im *Imputer) isFaultlessParallel(ctx context.Context, m *engine.Matcher, row, attr int, sigmaPrime rfd.Set) bool {
-	if im.opts.Verify == VerifyOff {
-		return true
-	}
-	relevant := im.relevantForVerify(sigmaPrime, attr)
-	if len(relevant) == 0 {
-		return true
-	}
-	v := m.View()
-	n := v.TargetLen()
-	if im.opts.Workers <= 1 || n < 2*im.opts.Workers {
-		return im.isFaultless(ctx, m, row, attr, sigmaPrime)
-	}
-	var violated atomic.Bool
-	var wg sync.WaitGroup
-	for _, rg := range chunkRanges(n, im.opts.Workers) {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			wm := v.Matcher()
-			for i := lo; i < hi; i++ {
-				if (i-lo)%engine.CheckEvery == 0 && ctx.Err() != nil {
-					return
-				}
-				if i == row {
-					continue
-				}
-				if violated.Load() {
-					return
-				}
-				for _, dep := range relevant {
-					if wm.Violates(dep, row, i) {
-						violated.Store(true)
-						return
-					}
-				}
-			}
-		}(rg[0], rg[1])
-	}
-	wg.Wait()
-	return !violated.Load()
-}
-
 // newKeyTrackerParallel computes the initial key status with the pair
 // scan chunked over the first index. Each dependency's status is an
 // atomic flag: a stale read only causes redundant work, never a wrong
@@ -151,7 +86,7 @@ func newKeyTrackerParallel(ctx context.Context, v *engine.View, sigma rfd.Set, w
 	remaining.Store(int64(len(sigma)))
 
 	var wg sync.WaitGroup
-	for _, rg := range chunkRanges(n, workers) {
+	for _, rg := range par.Chunks(n, workers) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()

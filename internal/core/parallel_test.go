@@ -9,36 +9,6 @@ import (
 	"repro/internal/rfd"
 )
 
-func TestChunkRanges(t *testing.T) {
-	cases := []struct {
-		n, workers int
-		wantChunks int
-	}{
-		{10, 3, 3},
-		{10, 1, 1},
-		{3, 8, 3},
-		{0, 4, 0},
-		{7, 0, 1},
-	}
-	for _, c := range cases {
-		got := chunkRanges(c.n, c.workers)
-		if len(got) != c.wantChunks {
-			t.Errorf("chunkRanges(%d,%d) = %v", c.n, c.workers, got)
-		}
-		// Ranges must tile [0,n) exactly.
-		next := 0
-		for _, rg := range got {
-			if rg[0] != next || rg[1] <= rg[0] {
-				t.Fatalf("chunkRanges(%d,%d) = %v not contiguous", c.n, c.workers, got)
-			}
-			next = rg[1]
-		}
-		if next != c.n {
-			t.Errorf("chunkRanges(%d,%d) covers [0,%d)", c.n, c.workers, next)
-		}
-	}
-}
-
 // TestParallelEquivalentToSerial: every worker count produces the exact
 // serial result on random instances — Imputations, Unimputed, and the
 // final relation all match.

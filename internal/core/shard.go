@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rfd"
 )
 
@@ -116,7 +117,7 @@ func findCandidateTuplesSharded(ctx context.Context, m *engine.Matcher, row, att
 	deps rfd.Set, shards int, stats *donorShardStats, rec obs.Recorder) []candidate {
 
 	v := m.View()
-	ranges := chunkRanges(v.Len(), shards)
+	ranges := par.Chunks(v.Len(), shards)
 	rec.Add(obs.CtrDonorShardFanout, int64(len(ranges)))
 	if len(ranges) == 1 {
 		out := findCandidateTuples(ctx, m, row, attr, deps)

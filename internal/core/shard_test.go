@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rfd"
 )
 
@@ -263,7 +264,7 @@ func TestDonorsIn(t *testing.T) {
 		for _, shards := range []int{1, 2, 3, 8} {
 			for row := 0; row < n; row++ {
 				var total int64
-				for _, rg := range chunkRanges(n, shards) {
+				for _, rg := range par.Chunks(n, shards) {
 					total += donorsIn(rg[0], rg[1], row)
 				}
 				if total != int64(n-1) {

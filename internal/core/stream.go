@@ -30,7 +30,9 @@ type Stream struct {
 	im *Imputer
 	v  *engine.View
 	m  *engine.Matcher // stream-goroutine kernel arena over v
-	kt *keyTracker
+	// plan is the stream goroutine's verify plan (buffers reused).
+	plan verifyPlan
+	kt   *keyTracker
 	// stats accumulates over the stream's lifetime.
 	stats Stats
 	// cacheHits/cacheMisses checkpoint the view's cache counters so each
@@ -80,7 +82,7 @@ func (s *Stream) Append(t dataset.Tuple) ([]Imputation, error) {
 		res.Stats.MissingCells = 1
 		sigmaPrime := s.kt.nonKeys()
 		clusters := s.im.clustersFor(sigmaPrime, attr)
-		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, row, attr, sigmaPrime, clusters, res, nil, obs.Span{}); ok {
+		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, row, attr, sigmaPrime, clusters, res, nil, obs.Span{}); ok {
 			if !s.im.opts.NoKeyReevaluation {
 				before := s.kt.keys
 				s.kt.afterImpute(row, attr)
@@ -108,7 +110,7 @@ func (s *Stream) RetryMissing() []Imputation {
 		res := &Result{Relation: work}
 		sigmaPrime := s.kt.nonKeys()
 		clusters := s.im.clustersFor(sigmaPrime, cell.Attr)
-		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, cell.Row, cell.Attr, sigmaPrime, clusters, res, nil, obs.Span{}); ok {
+		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, cell.Row, cell.Attr, sigmaPrime, clusters, res, nil, obs.Span{}); ok {
 			if !s.im.opts.NoKeyReevaluation {
 				before := s.kt.keys
 				s.kt.afterImpute(cell.Row, cell.Attr)

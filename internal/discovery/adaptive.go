@@ -9,6 +9,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/engine"
+	"repro/internal/par"
 )
 
 // AdaptiveAttrLimits is the paper's threshold-bounding extension (Sec. 7:
@@ -66,7 +67,7 @@ func AdaptiveAttrLimitsWorkers(rel *dataset.Relation, quantile float64, maxPairs
 	if maxPairs <= 0 || maxPairs >= total {
 		// Chunk the flat pair-index range; each worker collects into its
 		// own sample set, merged in chunk order below.
-		ranges := chunkRanges(total, workers)
+		ranges := par.Chunks(total, workers)
 		parts := make([][][]float64, len(ranges))
 		runChunks(workers, total, func(ci, lo, hi int) {
 			em := v.Matcher() // per-chunk kernel arena

@@ -8,35 +8,16 @@ import (
 	"repro/internal/distance"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rfd"
 )
-
-// chunkRanges splits [0, n) into at most workers contiguous ranges.
-func chunkRanges(n, workers int) [][2]int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var out [][2]int
-	size := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
 
 // runChunks splits [0, n) across the workers and runs fn once per
 // chunk, inline when only one chunk results (the serial path spawns no
 // goroutines). It returns the number of chunks. fn receives the chunk
 // index so callers can keep per-worker state without sharing.
 func runChunks(workers, n int, fn func(chunk, lo, hi int)) int {
-	ranges := chunkRanges(n, workers)
+	ranges := par.Chunks(n, workers)
 	if len(ranges) == 1 {
 		fn(0, ranges[0][0], ranges[0][1])
 		return 1

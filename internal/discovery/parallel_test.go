@@ -260,24 +260,6 @@ func TestDiscoverRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
-// TestChunkRangesCover: chunking always tiles [0, n) exactly.
-func TestChunkRangesCover(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100} {
-		for _, w := range []int{1, 2, 3, 8, 200} {
-			next := 0
-			for _, rg := range chunkRanges(n, w) {
-				if rg[0] != next || rg[1] <= rg[0] {
-					t.Fatalf("chunkRanges(%d, %d) = bad range %v", n, w, rg)
-				}
-				next = rg[1]
-			}
-			if next != n {
-				t.Fatalf("chunkRanges(%d, %d) covers [0, %d), want [0, %d)", n, w, next, n)
-			}
-		}
-	}
-}
-
 func ExampleConfig_workers() {
 	rel, _ := dataset.ReadCSVString("A,B\nx,1\nx,1\ny,2\ny,2\n")
 	serial, _ := Discover(rel, Config{MaxThreshold: 0, Workers: 1})

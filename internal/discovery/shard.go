@@ -7,6 +7,7 @@ import (
 	"repro/internal/distance"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // This file is the bounded-memory partition pipeline behind
@@ -204,7 +205,7 @@ func shardedPatterns(ctx context.Context, v *engine.View, cfg *Config, shards, w
 	if total == 0 {
 		return st
 	}
-	bands := chunkRanges(total, shards)
+	bands := par.Chunks(total, shards)
 	maxBand := 0
 	for _, b := range bands {
 		if l := b[1] - b[0]; l > maxBand {

@@ -138,6 +138,12 @@ const (
 	// CtrEpochsRetired counts superseded epochs whose last pinned reader
 	// finished.
 	CtrEpochsRetired
+	// CtrVerifyPlans counts missing cells whose IS_FAULTLESS witness rows
+	// were planned once for all their candidates.
+	CtrVerifyPlans
+	// CtrVerifyArmedRows counts the target rows those plans armed as
+	// potential IS_FAULTLESS witnesses.
+	CtrVerifyArmedRows
 
 	numCounters int = iota
 )
@@ -187,6 +193,9 @@ var counterNames = [...]string{
 	CtrDeltaCacheShardsInvalidated: "delta_cache_shards_invalidated",
 	CtrInternersCompacted:          "interners_compacted",
 	CtrEpochsRetired:               "epochs_retired",
+
+	CtrVerifyPlans:     "verify_plans",
+	CtrVerifyArmedRows: "verify_armed_rows",
 }
 
 // String returns the snake_case name used in snapshots.
@@ -360,6 +369,9 @@ var counterHelp = [...]string{
 	CtrDeltaCacheShardsInvalidated: "Distance-cache shards invalidated by deltas.",
 	CtrInternersCompacted:          "Per-attribute interning tables rebuilt with dense ids after deletes.",
 	CtrEpochsRetired:               "Superseded epochs whose last pinned reader finished.",
+
+	CtrVerifyPlans:     "Missing cells whose IS_FAULTLESS witness rows were planned once for all candidates.",
+	CtrVerifyArmedRows: "Target rows armed as potential IS_FAULTLESS witnesses by verify plans.",
 }
 
 // Help returns the Prometheus HELP text for the counter.

@@ -1,5 +1,5 @@
 // Package par is the single home for the repo's parallelism-knob
-// validation rule. Imputation options, discovery config, and the CLI
+// validation rule and for the range split every parallel scan shares. Imputation options, discovery config, and the CLI
 // flags of cmd/renuver and cmd/rfdiscover all carry some subset of
 // {Workers, Shards, DonorShards}; before this package each surface
 // re-implemented the same bounds with slightly different wording. The
@@ -59,4 +59,28 @@ func (p Parallelism) Validate() error {
 		return err
 	}
 	return Check("DonorShards", p.DonorShards)
+}
+
+// Chunks splits [0, n) into at most workers contiguous ranges of equal
+// size (the last may be shorter), in order. It returns no range for
+// n = 0 and one range for workers < 1. Every chunked scan in core and
+// discovery concatenates its per-chunk results in this order, which is
+// what keeps their output independent of the worker count.
+func Chunks(n, workers int) [][2]int {
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	var out [][2]int
+	size := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += size {
+		hi := lo + size
+		if hi > n {
+			hi = n
+		}
+		out = append(out, [2]int{lo, hi})
+	}
+	return out
 }

@@ -47,3 +47,39 @@ func TestParallelismValidate(t *testing.T) {
 		}
 	}
 }
+
+func TestChunkRanges(t *testing.T) {
+	cases := []struct {
+		n, workers int
+		wantChunks int
+	}{
+		{10, 3, 3},
+		{10, 1, 1},
+		{3, 8, 3},
+		{0, 4, 0},
+		{7, 0, 1},
+	}
+	for _, c := range cases {
+		if got := Chunks(c.n, c.workers); len(got) != c.wantChunks {
+			t.Errorf("Chunks(%d,%d) = %v, want %d chunks", c.n, c.workers, got, c.wantChunks)
+		}
+	}
+}
+
+// TestChunkRangesCover: chunking always tiles [0, n) exactly, in order.
+func TestChunkRangesCover(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 10, 100} {
+		for _, w := range []int{0, 1, 2, 3, 4, 8, 200} {
+			next := 0
+			for _, rg := range Chunks(n, w) {
+				if rg[0] != next || rg[1] <= rg[0] {
+					t.Fatalf("Chunks(%d, %d) = bad range %v", n, w, rg)
+				}
+				next = rg[1]
+			}
+			if next != n {
+				t.Fatalf("Chunks(%d, %d) covers [0, %d), want [0, %d)", n, w, next, n)
+			}
+		}
+	}
+}
