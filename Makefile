@@ -8,9 +8,9 @@ GO ?= go
 # against.
 BENCHTMP := .bench-tmp
 
-.PHONY: check fmt vet vet-ctx build test kernels race bench bench-dist bench-shard bench-json bench-check bench-update golden smoke artifact-roundtrip
+.PHONY: check fmt vet vet-ctx build test kernels race bench bench-dist bench-shard bench-json bench-check bench-update golden smoke artifact-roundtrip perfbench-test
 
-check: fmt vet vet-ctx build kernels test artifact-roundtrip bench-check
+check: fmt vet vet-ctx build kernels test artifact-roundtrip perfbench-test bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -102,6 +102,13 @@ artifact-roundtrip:
 	$(GO) test -count=1 \
 	  -run 'TestArtifact|TestCompileServeArtifactRoundTrip|TestDeterministic|TestDecode|TestRoundTrip|TestSharedRoundTrip|TestIndex.*RoundTrip' \
 	  ./internal/artifact/ ./internal/engine/ ./internal/core/ ./cmd/renuver/
+
+# The end-to-end benchmark's own tests. perfbench is a separate module
+# that builds against this one, so a library change that breaks the
+# benchmark's compile or its self-checks fails here, not at benchmark
+# time.
+perfbench-test:
+	cd perfbench && GOWORK=off $(GO) test ./...
 
 # Regenerate the golden files (trace JSONL schema) after an intentional
 # schema change; diff the result before committing.

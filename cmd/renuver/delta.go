@@ -4,10 +4,10 @@ package main
 // to a compiled-session artifact offline — the same renuver.Delta the
 // Go API's Session.ApplyDelta and the server's POST /v1/delta consume,
 // read from a file instead of a request body. The artifact is loaded,
-// the delta applied (Σ revalidated over the changed rows, the candidate
-// index maintained), and the evolved session re-encoded, so a fleet can
-// roll a data change by distributing one new artifact instead of
-// replaying mutations against every replica.
+// the delta applied (Σ revalidated over the changed rows), and the
+// evolved session re-encoded (with a freshly built candidate index), so
+// a fleet can roll a data change by distributing one new artifact
+// instead of replaying mutations against every replica.
 
 import (
 	"context"
@@ -27,7 +27,6 @@ func runDelta(args []string) error {
 		deltaPath    = fs.String("delta", "", "JSON delta file: {\"inserts\":[...],\"updates\":[...],\"deletes\":[...]} (required)")
 		out          = fs.String("out", "", "output artifact path (default: overwrite -artifact in place)")
 		summary      = fs.Bool("summary", true, "print the DeltaResult as JSON to stdout")
-		workers      = fs.Int("workers", 0, "parallel workers for the Σ revalidation scan (0 = all CPUs; output identical)")
 		logJSON      = fs.Bool("log-json", false, "emit progress logs as JSON lines")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -37,20 +36,13 @@ func runDelta(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("delta: -artifact and -delta are required")
 	}
-	if err := validateParallelism("-workers", *workers); err != nil {
-		return fmt.Errorf("delta: %w", err)
-	}
 	if *out == "" {
 		*out = *artifactPath
 	}
 	logger := newLogger(*logJSON)
 
-	var opts []renuver.Option
-	if *workers > 1 {
-		opts = append(opts, renuver.WithWorkers(*workers))
-	}
 	start := time.Now()
-	sess, err := renuver.LoadSession(*artifactPath, opts...)
+	sess, err := renuver.LoadSession(*artifactPath)
 	if err != nil {
 		return err
 	}

@@ -99,7 +99,7 @@ func main() {
 	flag.BoolVar(&cfg.report, "report", false, "print per-cell imputation provenance to stderr")
 	flag.BoolVar(&cfg.stats, "stats", false, "print run counters and per-phase wall clock as JSON to stderr")
 	flag.StringVar(&cfg.saveRFDs, "save-rfds", "", "write the (discovered) RFDc set to this file")
-	flag.IntVar(&cfg.workers, "workers", 0, "parallel workers: tuple scans (0 = serial) and discovery (0 = all CPUs; output identical)")
+	flag.IntVar(&cfg.workers, "workers", 0, "parallel workers: candidate search (0 = serial) and discovery (0 = all CPUs; output identical)")
 	flag.IntVar(&cfg.shards, "shards", 0, "discovery pattern shards and donor-pool sub-indexes (0 = unsharded; output identical for any value)")
 	flag.StringVar(&cfg.donors, "donors", "", "comma-separated reference CSVs for the multi-dataset extension")
 	flag.BoolVar(&logJSON, "log-json", false, "emit progress logs as JSON lines")

@@ -76,7 +76,7 @@ func runServe(args []string) error {
 		maxLHS       = fs.Int("maxlhs", 2, "discovery LHS size limit when -rfds is omitted")
 		order        = fs.String("order", "asc", "RHS-threshold cluster order: asc or desc")
 		verify       = fs.String("verify", "lhs", "IS_FAULTLESS scope: lhs, both, off")
-		workers      = fs.Int("workers", 0, "parallel workers for discovery and imputation tuple scans (0 = serial imputation, all CPUs for discovery)")
+		workers      = fs.Int("workers", 0, "parallel workers for discovery and imputation candidate search (0 = serial candidate search, all CPUs for discovery)")
 		shards       = fs.Int("shards", 0, "discovery pattern shards and donor-pool sub-indexes (0 = unsharded; output identical for any value)")
 		traceSample  = fs.Int("trace-sample", 0, "trace every Nth cell's imputation decisions (0 = tracing off, 1 = every cell)")
 		traceCells   = fs.Int("trace-cells", 0, "cell traces retained in the ring (0 = default 256)")

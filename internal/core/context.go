@@ -46,14 +46,15 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 
 	// One kernel arena for the run goroutine: every serial scan below
 	// evaluates through it, so the string kernels never allocate.
-	// Parallel scans give each worker its own. The verify plan's buffers
-	// are likewise reused from cell to cell.
+	// Parallel scans give each worker its own. The key tracker and the
+	// verify plan share its RowPass buffers, reused from row to row and
+	// cell to cell.
 	m := eng.Matcher()
 	var plan verifyPlan
 
 	preStart := time.Now()
 	preSpan := sp.Child("preprocess")
-	kt := newKeyTrackerParallel(ctx, eng, im.sigma, im.opts.Workers)
+	kt := newKeyTracker(ctx, m, im.sigma)
 	res.Stats.KeyRFDs = kt.keys
 	incomplete := work.IncompleteRows()
 	res.Stats.MissingCells = work.CountMissing()

@@ -24,13 +24,12 @@ package core
 //   - Σ is revalidated only against the pairs the delta introduces
 //     (discovery.RevalidateRows); deletes are monotone-safe and check
 //     nothing;
-//   - the candidate index is cloned + incrementally extended for
-//     insert-only deltas and rebuilt otherwise.
+//   - no candidate index is maintained: Impute never reads one in
+//     session mode, so every successor epoch publishes none.
 
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -51,8 +50,9 @@ type epochState struct {
 	// shared is the compiled base instance of this epoch.
 	shared *engine.Shared
 	// index is the candidate index over sigma's LHS attributes, carried
-	// from an artifact load (nil for freshly compiled sessions — the
-	// Impute hot path does not consult it).
+	// from an artifact load into epoch 0 only (nil for freshly compiled
+	// sessions and after any delta — the Impute hot path does not
+	// consult it, and EncodeArtifact builds one when it is nil).
 	index *engine.Index
 	// sigma is the dependency set in force at this epoch.
 	sigma rfd.Set
@@ -165,9 +165,9 @@ type DeltaResult struct {
 	// distance-cache shards their entries lived in.
 	CompactedAttrs         int `json:"compacted_attrs"`
 	InvalidatedCacheShards int `json:"invalidated_cache_shards"`
-	// IndexRebuilt is true when the candidate index could not be
-	// maintained incrementally (false also when the session carries no
-	// index).
+	// IndexRebuilt is always false: a delta no longer maintains a
+	// candidate index (the successor epoch carries none). The field stays
+	// for /v1/delta clients that read it.
 	IndexRebuilt bool `json:"index_rebuilt"`
 }
 
@@ -247,7 +247,7 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 
 	old := cur.shared.Relation()
 	schema := old.Schema()
-	n, m := old.Len(), schema.Len()
+	n := old.Len()
 	del, deleted, err := validateDelta(&d, schema, n)
 	if err != nil {
 		return nil, err
@@ -303,7 +303,7 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 	for i := range d.Inserts {
 		affected = append(affected, n-deleted+i)
 	}
-	sigma, dropped, tightened := discovery.RevalidateRows(evolved.View(), cur.sigma, affected, s.im.opts.Workers)
+	sigma, dropped, tightened := discovery.RevalidateRows(evolved.View(), cur.sigma, affected)
 	if revalSpan.Enabled() {
 		revalSpan.Int("dropped", int64(dropped))
 		revalSpan.Int("tightened", int64(tightened))
@@ -314,36 +314,12 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 		return nil, engine.Canceled(ctx)
 	}
 
-	// Candidate-index maintenance: clone + incremental Insert when every
-	// existing bucket provably survived (insert-only, no id remap, same
-	// LHS attribute set), full rebuild otherwise. Sessions without an
-	// index stay without one — the hot path never consults it.
-	indexStart := time.Now()
-	indexSpan := sp.Child("delta_index")
-	var ix *engine.Index
-	rebuilt := false
-	if cur.index != nil {
-		insertOnly := updated == 0 && len(d.Updates) == 0 && deleted == 0
-		if insertOnly && est.CompactedAttrs == 0 &&
-			slices.Equal(cur.index.LHSAttrs(), engine.LHSMask(m, sigma)) {
-			ix = cur.index.CloneFor(evolved.View())
-			for i := range d.Inserts {
-				for a := 0; a < m; a++ {
-					ix.Insert(n+i, a)
-				}
-			}
-		} else {
-			ix = engine.NewIndex(evolved.View(), sigma)
-			rebuilt = true
-		}
-	}
-	indexSpan.End()
-	rec.Time(obs.PhaseDeltaIndex, time.Since(indexStart))
-
+	// The successor carries no candidate index: Impute never consults
+	// one in session mode, and EncodeArtifact builds its own when the
+	// epoch has none.
 	ep := &epochState{
 		seq:    cur.seq + 1,
 		shared: evolved,
-		index:  ix,
 		sigma:  sigma,
 		rec:    rec,
 	}
@@ -372,7 +348,6 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 		SigmaTightened:         tightened,
 		CompactedAttrs:         est.CompactedAttrs,
 		InvalidatedCacheShards: est.InvalidatedCacheShards,
-		IndexRebuilt:           rebuilt,
 	}
 	if sp.Enabled() {
 		sp.Int("epoch", int64(ep.seq))

@@ -86,12 +86,13 @@ type Options struct {
 	// MaxCandidates, when positive, caps how many ranked candidates are
 	// tried per cluster before moving on. Zero means unlimited.
 	MaxCandidates int
-	// Workers, when above 1, parallelizes the tuple scans (candidate
-	// generation and the initial key-RFDc detection) across that many
-	// goroutines. Results are bit-identical to the serial run; the
-	// imputation loop itself stays sequential because imputed tuples
-	// become donors for later cells, and verification runs on the run
-	// goroutine through the cell's verify plan.
+	// Workers, when above 1, parallelizes candidate search (the donor
+	// scans of Algorithm 3) across that many goroutines; discovery has
+	// its own worker count. Results are bit-identical to the serial run.
+	// Everything else runs on the run goroutine: the imputation loop
+	// (imputed tuples become donors for later cells), key-RFDc detection
+	// and re-evaluation, and verification through the cell's verify
+	// plan.
 	Workers int
 	// NoIndex disables the donor index — the inverted value index on
 	// equality-constrained (threshold 0) LHS attributes that lets
@@ -176,7 +177,7 @@ func WithoutKeyReevaluation() Option { return func(op *Options) { op.NoKeyReeval
 // WithMaxCandidates caps the candidates tried per cluster.
 func WithMaxCandidates(k int) Option { return func(op *Options) { op.MaxCandidates = k } }
 
-// WithWorkers parallelizes the tuple scans across n goroutines.
+// WithWorkers parallelizes candidate search across n goroutines.
 func WithWorkers(n int) Option { return func(op *Options) { op.Workers = n } }
 
 // WithoutIndex disables the donor index on equality-constrained LHS

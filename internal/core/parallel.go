@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/par"
@@ -66,53 +65,4 @@ func findCandidateTuplesParallel(ctx context.Context, m *engine.Matcher, row, at
 		out = append(out, part...)
 	}
 	return out
-}
-
-// newKeyTrackerParallel computes the initial key status with the pair
-// scan chunked over the first index. Each dependency's status is an
-// atomic flag: a stale read only causes redundant work, never a wrong
-// verdict, because absorb-marking is monotone.
-func newKeyTrackerParallel(ctx context.Context, v *engine.View, sigma rfd.Set, workers int) *keyTracker {
-	n := v.TargetLen()
-	if workers <= 1 || n < 2*workers || len(sigma) == 0 {
-		return newKeyTracker(ctx, v, sigma)
-	}
-	kt := &keyTracker{v: v, m: v.Matcher(), sigma: sigma, isKey: make([]bool, len(sigma))}
-	flags := make([]atomic.Bool, len(sigma)) // true = still key
-	for i := range flags {
-		flags[i].Store(true)
-	}
-	var remaining atomic.Int64
-	remaining.Store(int64(len(sigma)))
-
-	var wg sync.WaitGroup
-	for _, rg := range par.Chunks(n, workers) {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			wm := v.Matcher()
-			for i := lo; i < hi; i++ {
-				if remaining.Load() == 0 || ctx.Err() != nil {
-					return
-				}
-				for j := i + 1; j < v.Len(); j++ {
-					for s, dep := range sigma {
-						if flags[s].Load() && wm.MatchesLHS(dep, i, j) {
-							if flags[s].CompareAndSwap(true, false) {
-								remaining.Add(-1)
-							}
-						}
-					}
-				}
-			}
-		}(rg[0], rg[1])
-	}
-	wg.Wait()
-	for s := range flags {
-		kt.isKey[s] = flags[s].Load()
-		if kt.isKey[s] {
-			kt.keys++
-		}
-	}
-	return kt
 }

@@ -62,26 +62,6 @@ func TestParallelPaperExample(t *testing.T) {
 	}
 }
 
-func TestParallelKeyTrackerAgreesWithSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(102))
-	for trial := 0; trial < 60; trial++ {
-		rel := randomInstance(rng)
-		sigma := randomSigma(rng, rel.Schema().Len())
-		serial := newKeyTracker(context.Background(), engine.Compile(rel), sigma)
-		for _, workers := range []int{2, 5} {
-			par := newKeyTrackerParallel(context.Background(), engine.Compile(rel), sigma, workers)
-			if par.keys != serial.keys {
-				t.Fatalf("trial %d: key counts %d vs %d", trial, par.keys, serial.keys)
-			}
-			for s := range sigma {
-				if par.isKey[s] != serial.isKey[s] {
-					t.Fatalf("trial %d: dep %d verdicts differ", trial, s)
-				}
-			}
-		}
-	}
-}
-
 func TestParallelCandidateScanEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	for trial := 0; trial < 60; trial++ {

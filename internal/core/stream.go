@@ -45,11 +45,12 @@ type Stream struct {
 // RetryMissing for that).
 func (im *Imputer) NewStream(base *dataset.Relation) *Stream {
 	v := engine.Compile(base.Clone())
+	m := v.Matcher()
 	return &Stream{
 		im: im,
 		v:  v,
-		m:  v.Matcher(),
-		kt: newKeyTracker(context.Background(), v, im.sigma),
+		m:  m,
+		kt: newKeyTracker(context.Background(), m, im.sigma),
 	}
 }
 
@@ -72,7 +73,7 @@ func (s *Stream) Append(t dataset.Tuple) ([]Imputation, error) {
 		return nil, err
 	}
 	row := work.Len() - 1
-	s.absorbNewRow(row)
+	s.kt.absorbRow(row)
 	s.im.opts.recorder().Add(obs.CtrStreamAppends, 1)
 
 	var out []Imputation
@@ -125,16 +126,6 @@ func (s *Stream) RetryMissing() []Imputation {
 		s.accumulate(res)
 	}
 	return out
-}
-
-// absorbNewRow updates key status with the pairs the new row introduces.
-func (s *Stream) absorbNewRow(row int) {
-	for j := 0; j < s.v.Len() && s.kt.keys > 0; j++ {
-		if j == row {
-			continue
-		}
-		s.kt.absorbPair(j, row)
-	}
 }
 
 // accumulate folds one per-cell run's counters into the stream totals

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"repro/internal/distance"
 	"repro/internal/engine"
@@ -77,19 +78,28 @@ func (im *Imputer) relevantForVerify(sigmaPrime rfd.Set, attr int) rfd.Set {
 //     present and > θ" over the φ whose LHS holds collapses to one test
 //     against θ_far, the smallest θ_RHS.
 //
-// The plan records the armed rows (those with at least one bound) and
-// their bounds; a candidate then costs one or two checks per armed row,
-// through the same Matcher, cache and kernels the scan uses, so the
-// verdict is the literal scan's. The buffers are reused across the
-// cells of a run; one plan belongs to one run goroutine.
+// The fixed parts are found with the run matcher's RowPass over t's
+// distance columns: for A on the LHS, the AND of the other LHS match
+// bitsets and the RHS breach bitset; for A as RHS, the AND of the LHS
+// match bitsets. A's own column is never needed. The plan records the
+// armed rows (those with at least one bound) and their bounds; a
+// candidate then costs one or two checks per armed row, through the
+// same Matcher, cache and kernels the scan uses, so the verdict is the
+// literal scan's. The buffers are reused across the cells of a run; one
+// plan belongs to one run goroutine.
 type verifyPlan struct {
 	row, attr int
 	state     planState
-	lhs       []lhsTerm // relevant φ with A on the LHS
-	rhs       rfd.Set   // VerifyBothSides: relevant φ with RHS A
-	rows      []int     // armed target rows
-	near      []float64 // per armed row: θ_near, or -Inf when none
-	far       []float64 // per armed row: θ_far, or +Inf when none
+	lhs       []lhsTerm // relevant φ with A on the LHS: RowPass rules 0..
+	rhs       rfd.Set   // VerifyBothSides: relevant φ with RHS A: the rules after
+	rows      []armedRow
+}
+
+// armedRow is one target row that can witness a violation, with its
+// bounds: θ_near, or -Inf when none; θ_far, or +Inf when none.
+type armedRow struct {
+	i         int
+	near, far float64
 }
 
 // lhsTerm is one relevant dependency with A on its LHS and A's bound.
@@ -102,9 +112,9 @@ type planState uint8
 
 const (
 	planPending planState = iota // the cell has not verified yet
-	planArmed                    // rows/near/far hold the cell's plan
+	planArmed                    // rows hold the cell's plan
 	planEmpty                    // nothing to re-check: every candidate passes
-	planLiteral                  // a bound outside monotone range: scan each candidate
+	planLiteral                  // a threshold outside engine.Exact: scan each candidate
 )
 
 // reset starts a new missing cell; the plan is built by the cell's
@@ -127,14 +137,15 @@ func (p *verifyPlan) faultless(ctx context.Context, im *Imputer, m *engine.Match
 		ok, _, _ := im.isFaultlessWitness(ctx, m, p.row, p.attr, sigmaPrime)
 		return ok
 	}
-	for k, i := range p.rows {
+	for k, a := range p.rows {
 		if k%engine.CheckEvery == 0 && ctx.Err() != nil {
 			return false
 		}
-		if near := p.near[k]; near >= 0 && m.Within(p.attr, p.row, i, near) {
+		i := a.i
+		if near := a.near; near >= 0 && m.Within(p.attr, p.row, i, near) {
 			return false
 		}
-		if far := p.far[k]; !math.IsInf(far, 1) {
+		if far := a.far; !math.IsInf(far, 1) {
 			if d := m.Distance(p.attr, p.row, i); !distance.IsMissing(d) && d > far {
 				return false
 			}
@@ -143,15 +154,10 @@ func (p *verifyPlan) faultless(ctx context.Context, im *Imputer, m *engine.Match
 	return true
 }
 
-// maxExactBound is where a string bound stops converting to an int
-// exactly (engine.View.Within floors it to one): below it, Within is
-// monotone in its bound for every kind.
-const maxExactBound = 1 << 63
-
 // build selects the relevant dependencies and arms the target rows. It
 // returns false, leaving the plan pending, when the context expired.
 func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, sigmaPrime rfd.Set) bool {
-	p.lhs, p.rhs = p.lhs[:0], p.rhs[:0]
+	p.lhs, p.rhs = slices.Grow(p.lhs[:0], len(sigmaPrime)), slices.Grow(p.rhs[:0], len(sigmaPrime))
 	if im.opts.Verify != VerifyOff {
 		for _, dep := range sigmaPrime {
 			for _, c := range dep.LHS {
@@ -168,39 +174,55 @@ func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, 
 		p.state = planEmpty
 		return true
 	}
-	for _, l := range p.lhs {
-		if !(l.th < maxExactBound) {
+	// The rest of each φ goes to the RowPass; θ_A is compared with
+	// Within per candidate, so it too must be in the exact range.
+	pass := m.Pass(sigmaPrime)
+	for k, l := range p.lhs {
+		if !engine.Exact(l.th) || !pass.Rule(l.dep, p.attr, true, k) {
+			p.state = planLiteral
+			return true
+		}
+	}
+	for k, dep := range p.rhs {
+		if !pass.Rule(dep, -1, false, k) {
 			p.state = planLiteral
 			return true
 		}
 	}
 	v := m.View()
-	row, attr := p.row, p.attr
-	p.rows, p.near, p.far = p.rows[:0], p.near[:0], p.far[:0]
-	for i := 0; i < v.TargetLen(); i++ {
-		if i%engine.CheckEvery == 0 && ctx.Err() != nil {
+	attr := p.attr
+	n := v.TargetLen()
+	p.rows = slices.Grow(p.rows[:0], n)
+	pass.Scan(p.row, 0, n, false)
+	for pass.Next() {
+		if ctx.Err() != nil {
 			return false
 		}
-		if i == row || v.IsNull(i, attr) {
-			// A null t_i[A] fails every A term, whatever t[A] holds.
-			continue
+		for h := 0; h < pass.Rules(); h++ {
+			pass.And(h)
 		}
-		near := math.Inf(-1)
-		for _, l := range p.lhs {
-			if l.th > near && firesBesidesAttr(m, l.dep, attr, row, i) {
-				near = l.th
+		lo, armed := pass.Lo(), pass.Union()
+		for k := engine.NextBit(armed, 0); k >= 0; k = engine.NextBit(armed, k+1) {
+			i := lo + k
+			if v.IsNull(i, attr) {
+				// A null t_i[A] fails every A term, whatever t[A] holds.
+				continue
 			}
-		}
-		far := math.Inf(1)
-		for _, dep := range p.rhs {
-			if th := dep.RHS.Threshold; th < far && m.MatchesLHS(dep, row, i) {
-				far = th
+			near := math.Inf(-1)
+			for h, l := range p.lhs {
+				if l.th > near && engine.Has(pass.Set(h), k) {
+					near = l.th
+				}
 			}
-		}
-		if near >= 0 || !math.IsInf(far, 1) {
-			p.rows = append(p.rows, i)
-			p.near = append(p.near, near)
-			p.far = append(p.far, far)
+			far := math.Inf(1)
+			for h, dep := range p.rhs {
+				if th := dep.RHS.Threshold; th < far && engine.Has(pass.Set(len(p.lhs)+h), k) {
+					far = th
+				}
+			}
+			if near >= 0 || !math.IsInf(far, 1) {
+				p.rows = append(p.rows, armedRow{i: i, near: near, far: far})
+			}
 		}
 	}
 	p.state = planArmed
@@ -209,17 +231,4 @@ func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, 
 		rec.Add(obs.CtrVerifyArmedRows, int64(len(p.rows)))
 	}
 	return true
-}
-
-// firesBesidesAttr reports whether (row, i) satisfies every LHS
-// constraint of dep except the one on attr and witnesses an RHS breach:
-// the part of Violates that does not depend on the cell (row, attr).
-func firesBesidesAttr(m *engine.Matcher, dep *rfd.RFD, attr, row, i int) bool {
-	for _, c := range dep.LHS {
-		if c.Attr != attr && !m.Within(c.Attr, row, i, c.Threshold) {
-			return false
-		}
-	}
-	d := m.Distance(dep.RHS.Attr, row, i)
-	return !distance.IsMissing(d) && d > dep.RHS.Threshold
 }

@@ -32,32 +32,37 @@ func randomMixedInstance(rng *rand.Rand) *dataset.Relation {
 		attrs[a] = dataset.Attribute{Name: fmt.Sprintf("A%d", a), Kind: kinds[rng.Intn(len(kinds))]}
 	}
 	rel := dataset.NewRelation(dataset.NewSchema(attrs...))
-	words := []string{"abc", "abd", "abcd", "xbc", "ab", "abce", "bca", "zzz"}
 	n := 3 + rng.Intn(14)
 	for i := 0; i < n; i++ {
-		t := make(dataset.Tuple, m)
-		for a := range t {
-			if rng.Float64() < 0.2 {
-				continue // null
-			}
-			switch attrs[a].Kind {
-			case dataset.KindString:
-				t[a] = dataset.NewString(words[rng.Intn(len(words))])
-			case dataset.KindInt:
-				t[a] = dataset.NewInt(int64(rng.Intn(6)))
-			case dataset.KindFloat:
-				if rng.Intn(2) == 0 {
-					t[a] = dataset.NewInt(int64(rng.Intn(4)))
-				} else {
-					t[a] = dataset.NewFloat(float64(rng.Intn(8)) * 0.5)
-				}
-			case dataset.KindBool:
-				t[a] = dataset.NewBool(rng.Intn(2) == 0)
-			}
-		}
-		rel.MustAppend(t)
+		rel.MustAppend(randomMixedTuple(rng, rel.Schema()))
 	}
 	return rel
+}
+
+// randomMixedTuple draws one tuple of randomMixedInstance's schema.
+func randomMixedTuple(rng *rand.Rand, schema *dataset.Schema) dataset.Tuple {
+	words := []string{"abc", "abd", "abcd", "xbc", "ab", "abce", "bca", "zzz"}
+	t := make(dataset.Tuple, schema.Len())
+	for a := range t {
+		if rng.Float64() < 0.2 {
+			continue // null
+		}
+		switch schema.Attr(a).Kind {
+		case dataset.KindString:
+			t[a] = dataset.NewString(words[rng.Intn(len(words))])
+		case dataset.KindInt:
+			t[a] = dataset.NewInt(int64(rng.Intn(6)))
+		case dataset.KindFloat:
+			if rng.Intn(2) == 0 {
+				t[a] = dataset.NewInt(int64(rng.Intn(4)))
+			} else {
+				t[a] = dataset.NewFloat(float64(rng.Intn(8)) * 0.5)
+			}
+		case dataset.KindBool:
+			t[a] = dataset.NewBool(rng.Intn(2) == 0)
+		}
+	}
+	return t
 }
 
 // randomThreshold draws mostly small grid thresholds, fractional ones
@@ -204,5 +209,52 @@ func TestVerifyPlanWholeRunCars(t *testing.T) {
 	}
 	if n := tracedSnap.Counters["verify_plans"]; n != 0 {
 		t.Errorf("fully traced run planned %d cells, want 0", n)
+	}
+}
+
+// TestVerifyPlanMultiWord is TestVerifyPlanMatchesAlgorithm4 on
+// instances that span several 64-row words of the plan's bitsets, for a
+// sample of cells and donors.
+func TestVerifyPlanMultiWord(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(28))
+	armed := 0
+	for trial := 0; trial < 40; trial++ {
+		rel := randomMixedInstance(rng)
+		for n := 65 + rng.Intn(250); rel.Len() < n; {
+			rel.MustAppend(randomMixedTuple(rng, rel.Schema()))
+		}
+		sigma := randomSigmaLHS(rng, rel.Schema().Len())
+		cells := rel.MissingCells()
+		rng.Shuffle(len(cells), func(a, b int) { cells[a], cells[b] = cells[b], cells[a] })
+		for _, mode := range []VerifyMode{VerifyLHS, VerifyBothSides} {
+			im := New(sigma, WithVerifyMode(mode))
+			v := engine.Compile(rel.Clone())
+			m := v.Matcher()
+			var plan verifyPlan
+			for _, cell := range cells[:min(len(cells), 4)] {
+				plan.reset(cell.Row, cell.Attr)
+				for k := 0; k < 12; k++ {
+					j := rng.Intn(rel.Len())
+					if j == cell.Row || v.IsNull(j, cell.Attr) {
+						continue
+					}
+					v.Set(cell.Row, cell.Attr, v.Value(j, cell.Attr))
+					want, _, _ := im.isFaultlessWitness(ctx, m, cell.Row, cell.Attr, sigma)
+					got := plan.faultless(ctx, im, m, sigma)
+					v.Set(cell.Row, cell.Attr, dataset.Null)
+					if got != want {
+						t.Fatalf("trial %d mode %d cell %+v donor %d: plan says %v, Algorithm 4 says %v\nsigma: %q",
+							trial, mode, cell, j, got, want, formatRules(sigma, rel.Schema()))
+					}
+				}
+				if plan.state == planArmed {
+					armed++
+				}
+			}
+		}
+	}
+	if armed == 0 {
+		t.Fatal("no armed plan on a multi-word instance")
 	}
 }

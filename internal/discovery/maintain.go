@@ -53,11 +53,7 @@ func NewMaintainer(base *dataset.Relation, sigma rfd.Set) *Maintainer {
 // the serial path). Repairs are applied serially in pair order either
 // way, so the maintained set is identical for every worker count.
 func NewMaintainerWorkers(base *dataset.Relation, sigma rfd.Set, workers int) *Maintainer {
-	cp := make(rfd.Set, len(sigma))
-	for i, dep := range sigma {
-		lhs := append([]rfd.Constraint(nil), dep.LHS...)
-		cp[i] = rfd.MustNew(lhs, dep.RHS)
-	}
+	cp := sigma.Clone()
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}

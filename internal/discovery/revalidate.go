@@ -1,7 +1,7 @@
 package discovery
 
 import (
-	"runtime"
+	"math/bits"
 	"sort"
 
 	"repro/internal/distance"
@@ -27,22 +27,22 @@ import (
 //     on the whole LHS. Tightening is monotone, so the returned set
 //     holds on the entire new instance, not just the checked pairs.
 //
-// rows are flat indices into v (deduplicated here). Pattern
-// materialization is chunked across workers (0 = all CPUs, 1 = serial);
-// repairs apply serially in (row, pair) order, so the returned set is
-// identical for every worker count. Σ is deep-copied; the caller's set
-// is never mutated.
-func RevalidateRows(v *engine.View, sigma rfd.Set, rows []int, workers int) (out rfd.Set, dropped, tightened int) {
-	cp := make(rfd.Set, len(sigma))
-	for i, dep := range sigma {
-		lhs := append([]rfd.Constraint(nil), dep.LHS...)
-		cp[i] = rfd.MustNew(lhs, dep.RHS)
-	}
+// Each changed row's sweep runs on its distance columns (an
+// engine.RowPass): a rule's LHS match bitsets ANDed with its RHS breach
+// bitset give a superset of the pairs it must be repaired against —
+// tightening only shrinks the match set — and only those pairs are
+// re-checked, in row order, with the exact pattern against the rule as
+// already tightened. Rules are repaired independently of one another,
+// so Σ, its order and the counts are those of the literal sweep over
+// every (row, pair, rule). A sweep whose rules carry a threshold outside
+// engine.Exact runs that literal sweep.
+//
+// rows are flat indices into v (deduplicated here). Σ is deep-copied;
+// the caller's set is never mutated.
+func RevalidateRows(v *engine.View, sigma rfd.Set, rows []int) (out rfd.Set, dropped, tightened int) {
+	cp := sigma.Clone()
 	if len(rows) == 0 || len(cp) == 0 {
 		return cp, 0, 0
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
 	}
 	n := v.Len()
 	changed := make([]bool, n)
@@ -53,67 +53,85 @@ func RevalidateRows(v *engine.View, sigma rfd.Set, rows []int, workers int) (out
 		changed[r] = true
 	}
 
-	repair := func(p distance.Pattern) {
-		kept := cp[:0]
-		for _, dep := range cp {
-			repaired, ok := repairAgainst(dep, p)
-			if !ok {
-				dropped++
-				continue
-			}
-			if repaired != dep {
-				tightened++
-			}
-			kept = append(kept, repaired)
-		}
-		cp = kept
-	}
-	// skip reports whether the pair (r, j) is not this sweep's to check:
-	// the row itself, or a changed pair already covered by the sweep of
-	// its lower-numbered member.
-	skip := func(r, j int) bool { return j == r || (changed[j] && j < r) }
-
 	m := v.Matcher()
-	var one distance.Pattern
-	var slab []distance.Pattern
+	one := distance.NewPattern(v.Arity())
 	for _, r := range order {
 		if len(cp) == 0 {
 			break
 		}
-		if workers <= 1 || n < 2*workers {
-			if one == nil {
-				one = distance.NewPattern(v.Arity())
+		pass := m.Pass(cp)
+		literal := false
+		for k, dep := range cp {
+			if !pass.Rule(dep, -1, true, k) {
+				literal = true
+				break
 			}
+		}
+		if literal {
 			for j := 0; j < n; j++ {
-				if skip(r, j) {
+				if j == r || (changed[j] && j < r) {
 					continue
 				}
 				m.PatternInto(one, r, j)
-				repair(one)
-			}
-			continue
-		}
-		// Materialize the changed row's patterns against every row
-		// concurrently (view reads are safe), then repair serially in pair
-		// order — identical to the serial sweep.
-		if len(slab) < n {
-			slab = patternSlab(n, v.Arity())
-		}
-		runChunks(workers, n, func(_, lo, hi int) {
-			wm := v.Matcher()
-			for j := lo; j < hi; j++ {
-				if !skip(r, j) {
-					wm.PatternInto(slab[j], r, j)
+				for k := range cp {
+					if cp[k] != nil {
+						d, t := repairAt(cp, k, one)
+						dropped, tightened = dropped+d, tightened+t
+					}
 				}
 			}
-		})
-		for j := 0; j < n; j++ {
-			if !skip(r, j) {
-				repair(slab[j])
+		} else {
+			pass.Scan(r, 0, n, false)
+			for pass.Next() {
+				lo := pass.Lo()
+				for h := 0; h < pass.Rules(); h++ {
+					k := pass.Tag(h)
+					if cp[k] == nil {
+						continue
+					}
+				walk:
+					for wi, w := range pass.And(h) {
+						for ; w != 0; w &= w - 1 {
+							j := lo + wi<<6 + bits.TrailingZeros64(w)
+							if changed[j] && j < r {
+								continue
+							}
+							m.PatternInto(one, r, j)
+							d, t := repairAt(cp, k, one)
+							dropped, tightened = dropped+d, tightened+t
+							if d > 0 {
+								break walk
+							}
+						}
+					}
+				}
 			}
 		}
+		kept := cp[:0]
+		for _, dep := range cp {
+			if dep != nil {
+				kept = append(kept, dep)
+			}
+		}
+		cp = kept
 	}
 	return cp, dropped, tightened
+}
+
+// repairAt repairs cp[k] in place against the pair behind pattern p,
+// setting it to nil when it is dropped. It returns the drop and
+// tightening it applied (0 or 1 each).
+func repairAt(cp rfd.Set, k int, p distance.Pattern) (dropped, tightened int) {
+	repaired, ok := repairAgainst(cp[k], p)
+	switch {
+	case !ok:
+		cp[k] = nil
+		return 1, 0
+	case repaired != cp[k]:
+		cp[k] = repaired
+		return 0, 1
+	}
+	return 0, 0
 }
 
 // uniqInts compacts a sorted slice in place, returning the new length.

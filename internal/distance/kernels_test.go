@@ -132,11 +132,22 @@ func TestExhaustiveKernelAgreement(t *testing.T) {
 						t.Fatalf("%s: Within(%q,%q,%d) = %v, exact %d",
 							cfg.name, string(ra), string(rb), th, got, d)
 					}
+					checkCapped(t, cfg.name, scAuto, ra, rb, th, d)
 				}
 			}
 		}
 	}
 	SetKernel(KernelAuto)
+}
+
+// checkCapped asserts the capped kernel against the exact distance d:
+// in bound iff d <= th, and then the score is d itself.
+func checkCapped(t *testing.T, kernel string, sc *Scratch, ra, rb []rune, th, d int) {
+	t.Helper()
+	got, ok := sc.CappedRunesMasked(ra, rb, RuneMask(ra), RuneMask(rb), th)
+	if ok != (d <= th) || (ok && got != d) {
+		t.Fatalf("%s: Capped(%q,%q,%d) = (%d, %v), exact %d", kernel, string(ra), string(rb), th, got, ok, d)
+	}
 }
 
 // TestKernelDifferentialRandom drives random pairs through every kernel
@@ -185,6 +196,7 @@ func TestKernelDifferentialRandom(t *testing.T) {
 					t.Fatalf("%s: Within(%q,%q,%d) = %v, exact %d",
 						cfg.name, string(ra), string(rb), th, got, d)
 				}
+				checkCapped(t, cfg.name, sc, ra, rb, th, d)
 			}
 		}
 		SetKernel(KernelAuto)
@@ -288,6 +300,9 @@ func TestKernelZeroAllocs(t *testing.T) {
 		{"Scratch.WithinRunes", func() { sc.WithinRunes(ga, gb, 2) }},
 		{"Scratch.WithinRunesMasked", func() {
 			sc.WithinRunesMasked(ra, rb, RuneMask(ra), RuneMask(rb), 5)
+		}},
+		{"Scratch.CappedRunesMasked", func() {
+			sc.CappedRunesMasked(ga, gb, RuneMask(ga), RuneMask(gb), 5)
 		}},
 	}
 	for _, c := range cases {

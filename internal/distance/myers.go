@@ -106,12 +106,12 @@ func (sc *Scratch) myersDistance(p, t []rune) int {
 	return score
 }
 
-// myersWithin reports whether the edit distance between pattern p
-// (1 <= len(p) <= 64) and text t is at most max, preserving the banded
-// kernel's threshold early-exit: the score moves by at most one per
-// text rune, so once score minus the remaining rune count exceeds the
-// bound the answer is settled.
-func (sc *Scratch) myersWithin(p, t []rune, max int) bool {
+// myersCapped returns the edit distance between pattern p
+// (1 <= len(p) <= 64) and text t and true when it is at most max, false
+// otherwise, preserving the banded kernel's threshold early-exit: the
+// score moves by at most one per text rune, so once score minus the
+// remaining rune count exceeds the bound the answer is settled.
+func (sc *Scratch) myersCapped(p, t []rune, max int) (int, bool) {
 	m := len(p)
 	sc.buildPeq(p)
 	pv := ^uint64(0)
@@ -142,8 +142,8 @@ func (sc *Scratch) myersWithin(p, t []rune, max int) bool {
 			// Even a run of matches to the end cannot pull the score
 			// back under the bound.
 			obs.GlobalAdd(obs.CtrLevenshteinEarlyExits, 1)
-			return false
+			return 0, false
 		}
 	}
-	return score <= max
+	return score, score <= max
 }

@@ -210,6 +210,18 @@ func (sc *Scratch) WithinRunesMasked(ra, rb []rune, ma, mb uint64, max int) bool
 	return sc.withinRunes(ra, rb, ma, mb, true, max)
 }
 
+// CappedRunesMasked is the bounded kernel that keeps its score: it
+// returns the edit distance and true when the distance is at most max,
+// and false when it is above (the same pre-filters and early exits as
+// WithinRunesMasked decide that, so the two agree on every pair).
+func (sc *Scratch) CappedRunesMasked(ra, rb []rune, ma, mb uint64, max int) (int, bool) {
+	obs.GlobalAdd(obs.CtrLevenshteinCalls, 1)
+	if max < 0 {
+		return 0, false
+	}
+	return sc.cappedRunes(ra, rb, ma, mb, true, max)
+}
+
 // distRunes dispatches the exact-distance kernels: Myers whenever the
 // shorter side fits one word (and the banded DP is not forced), the
 // banded DP otherwise.
@@ -228,9 +240,16 @@ func (sc *Scratch) distRunes(ra, rb []rune) int {
 	return sc.myersDistance(rb, ra)
 }
 
-// withinRunes dispatches the bounded predicate: length pre-filter,
-// alphabet-mask pre-filter, then the threshold-aware kernel.
+// withinRunes dispatches the bounded predicate.
 func (sc *Scratch) withinRunes(ra, rb []rune, ma, mb uint64, haveMasks bool, max int) bool {
+	_, ok := sc.cappedRunes(ra, rb, ma, mb, haveMasks, max)
+	return ok
+}
+
+// cappedRunes dispatches the bounded kernel: length pre-filter,
+// alphabet-mask pre-filter, then the threshold-aware kernel. It returns
+// the exact distance and true when it is at most max, false otherwise.
+func (sc *Scratch) cappedRunes(ra, rb []rune, ma, mb uint64, haveMasks bool, max int) (int, bool) {
 	if len(ra) < len(rb) {
 		ra, rb = rb, ra
 		ma, mb = mb, ma
@@ -238,11 +257,11 @@ func (sc *Scratch) withinRunes(ra, rb []rune, ma, mb uint64, haveMasks bool, max
 	if len(ra)-len(rb) > max {
 		// Length difference alone exceeds the bound: no DP needed.
 		obs.GlobalAdd(obs.CtrLevenshteinEarlyExits, 1)
-		return false
+		return 0, false
 	}
 	if len(rb) == 0 {
 		// The length pre-filter already certified len(ra) <= max.
-		return true
+		return len(ra), true
 	}
 	if !haveMasks {
 		ma, mb = RuneMask(ra), RuneMask(rb)
@@ -252,14 +271,14 @@ func (sc *Scratch) withinRunes(ra, rb []rune, ma, mb uint64, haveMasks bool, max
 		// other: the distance is at least one edit per such class.
 		obs.GlobalAdd(obs.CtrLevenshteinMaskRejects, 1)
 		obs.GlobalAdd(obs.CtrLevenshteinEarlyExits, 1)
-		return false
+		return 0, false
 	}
 	if len(rb) > myersMax || ActiveKernel() == KernelBanded {
 		obs.GlobalAdd(obs.CtrLevenshteinBanded, 1)
-		return sc.bandedWithin(ra, rb, max)
+		return sc.bandedCapped(ra, rb, max)
 	}
 	obs.GlobalAdd(obs.CtrLevenshteinMyers, 1)
-	return sc.myersWithin(rb, ra, max)
+	return sc.myersCapped(rb, ra, max)
 }
 
 // bandedDistance is the classic two-row dynamic program with the
@@ -288,10 +307,13 @@ func (sc *Scratch) bandedDistance(ra, rb []rune) int {
 	return prev[len(rb)]
 }
 
-// bandedWithin is the threshold-aware banded DP: cells provably above
+// bandedCapped is the threshold-aware banded DP: cells provably above
 // the bound saturate at inf, and the scan aborts as soon as a whole row
-// exceeds the bound. Same caller invariants as bandedDistance.
-func (sc *Scratch) bandedWithin(ra, rb []rune, max int) bool {
+// exceeds the bound. A cell whose true value is at most the bound is
+// computed exactly (its optimal predecessor is too), so a final score
+// within the bound is the distance. Same caller invariants as
+// bandedDistance.
+func (sc *Scratch) bandedCapped(ra, rb []rune, max int) (int, bool) {
 	const inf = 1 << 30
 	prev := sc.dpRow(len(rb) + 1)
 	for j := range prev {
@@ -327,10 +349,11 @@ func (sc *Scratch) bandedWithin(ra, rb []rune, max int) bool {
 		if rowMin > max {
 			// Whole DP row above the bound: the distance can only grow.
 			obs.GlobalAdd(obs.CtrLevenshteinEarlyExits, 1)
-			return false
+			return 0, false
 		}
 	}
-	return prev[len(rb)] <= max
+	d := prev[len(rb)]
+	return d, d <= max
 }
 
 // dpRow returns the arena's DP row grown to at least n entries.

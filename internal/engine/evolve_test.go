@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -259,54 +258,6 @@ func TestWithoutAttrs(t *testing.T) {
 	for i := int32(0); i < 64; i++ {
 		if _, ok := c.get(0, i, i+1); !ok {
 			t.Fatalf("withoutAttrs mutated its source: attr 0 entry (%d,%d) gone", i, i+1)
-		}
-	}
-}
-
-// TestIndexCloneForInsertParity: the insert-only maintenance path —
-// CloneFor plus one Insert per appended cell — must answer candidate
-// probes exactly like an index rebuilt from scratch over the evolved
-// view, for every query row.
-func TestIndexCloneForInsertParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 6; trial++ {
-		base := randomMixedRelation(rng, 18+rng.Intn(20))
-		sigma := shardedParitySigma(base.Schema())
-		shared := Precompile(base)
-		ix := NewIndex(shared.View(), sigma)
-		if ix == nil {
-			t.Fatal("no index built")
-		}
-
-		next := base.Clone()
-		extra := randomMixedRelation(rng, 5)
-		for i := 0; i < extra.Len(); i++ {
-			appendAnyKind(next, extra.Row(i))
-		}
-		evolved, st, err := shared.Evolve(next)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.CompactedAttrs != 0 {
-			t.Fatalf("append-only evolve compacted %d attrs", st.CompactedAttrs)
-		}
-		maintained := ix.CloneFor(evolved.View())
-		for i := base.Len(); i < next.Len(); i++ {
-			for a := 0; a < next.Schema().Len(); a++ {
-				maintained.Insert(i, a)
-			}
-		}
-		rebuilt := NewIndex(evolved.View(), sigma)
-		for row := 0; row < next.Len(); row++ {
-			wantRows, wantOK := rebuilt.CandidateRows(row, sigma)
-			gotRows, gotOK := maintained.CandidateRows(row, sigma)
-			if gotOK != wantOK || !reflect.DeepEqual(gotRows, wantRows) {
-				t.Fatalf("trial %d row %d: maintained (%v,%v) != rebuilt (%v,%v)",
-					trial, row, gotRows, gotOK, wantRows, wantOK)
-			}
-		}
-		if !reflect.DeepEqual(maintained.LHSAttrs(), rebuilt.LHSAttrs()) {
-			t.Fatalf("trial %d: LHS masks diverged", trial)
 		}
 	}
 }

@@ -86,12 +86,6 @@ func lhsMask(m int, sigma rfd.Set) []bool {
 	return lhs
 }
 
-// LHSMask returns the mask of attributes Σ constrains on some LHS over
-// an arity-m schema, or nil when there are none — the mask NewIndex
-// builds for. Exposed so epoch maintenance can decide whether an
-// existing index still covers a revalidated Σ.
-func LHSMask(m int, sigma rfd.Set) []bool { return lhsMask(m, sigma) }
-
 // NewIndex builds the index over every flat row of the view for the
 // attributes Σ constrains on some LHS. It returns nil when Σ is empty.
 func NewIndex(v *View, sigma rfd.Set) *Index {
@@ -153,55 +147,6 @@ func newIndexRange(v *View, lhs []bool, lo, hi int) *Index {
 		}
 	}
 	return ix
-}
-
-// CloneFor deep-copies the index onto a successor view — the
-// insert-only epoch-maintenance path: when a delta appends rows without
-// deleting, updating, remapping interned ids, or changing Σ's LHS
-// attribute set, every existing bucket stays valid (flat indices and
-// sids are preserved by Evolve), so the new epoch clones the buckets
-// and registers only the inserted rows through Insert instead of
-// rebuilding over the whole instance. The probe counter starts at zero;
-// it is per-instance observability, not state. Nil-safe.
-func (ix *Index) CloneFor(v *View) *Index {
-	if ix == nil {
-		return nil
-	}
-	m := len(ix.lhs)
-	out := &Index{
-		v:    v,
-		lhs:  slices.Clone(ix.lhs),
-		eq:   make([]map[eqKey][]int, m),
-		numV: make([][]float64, m),
-		numR: make([][]int, m),
-		lens: make([]map[int][]int, m),
-	}
-	for a := 0; a < m; a++ {
-		if ix.eq[a] != nil {
-			out.eq[a] = make(map[eqKey][]int, len(ix.eq[a]))
-			for k, rows := range ix.eq[a] {
-				out.eq[a][k] = slices.Clone(rows)
-			}
-		}
-		out.numV[a] = slices.Clone(ix.numV[a])
-		out.numR[a] = slices.Clone(ix.numR[a])
-		if ix.lens[a] != nil {
-			out.lens[a] = make(map[int][]int, len(ix.lens[a]))
-			for l, rows := range ix.lens[a] {
-				out.lens[a][l] = slices.Clone(rows)
-			}
-		}
-	}
-	return out
-}
-
-// LHSAttrs returns a copy of the indexed-attribute mask (the attributes
-// Σ constrained on some LHS at build time). Nil-safe.
-func (ix *Index) LHSAttrs() []bool {
-	if ix == nil {
-		return nil
-	}
-	return slices.Clone(ix.lhs)
 }
 
 // sortNumeric sorts the paired (value, row) columns by (value, row) in

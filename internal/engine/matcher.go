@@ -21,6 +21,15 @@ import (
 type Matcher struct {
 	v  *View
 	sc *distance.Scratch
+
+	// Column's per-call memo (memoSize slots): key is the call's
+	// generation in the high half and the interned id in the low half;
+	// d is the capped distance, -1 above the limit.
+	memoGen uint32
+	memoKey [memoSize]uint64
+	memoD   [memoSize]int32
+	// pass is the RowPass scratch, reused from pass to pass.
+	pass RowPass
 }
 
 // Matcher returns a new single-goroutine evaluator over the view.

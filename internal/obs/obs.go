@@ -238,9 +238,6 @@ const (
 	// PhaseDeltaRevalidate covers repairing Σ against the pairs a delta's
 	// changed rows introduce.
 	PhaseDeltaRevalidate
-	// PhaseDeltaIndex covers maintaining or rebuilding the candidate
-	// index for the new epoch.
-	PhaseDeltaIndex
 	// PhaseTotal covers one whole Impute run.
 	PhaseTotal
 
@@ -259,7 +256,6 @@ var phaseNames = [...]string{
 	PhaseDonorMerge:           "donor_merge",
 	PhaseDeltaBuild:           "delta_build",
 	PhaseDeltaRevalidate:      "delta_revalidate",
-	PhaseDeltaIndex:           "delta_index",
 	PhaseTotal:                "total",
 }
 

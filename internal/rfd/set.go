@@ -49,6 +49,27 @@ func (s Set) HoldsOn(rel *dataset.Relation) bool {
 	return true
 }
 
+// Clone deep-copies the set, so that callers can replace or drop its
+// dependencies without touching the originals. The copies share two
+// slabs (dependencies and LHS constraints); each LHS is capped at its
+// own length, so an append never reaches a neighbour's.
+func (s Set) Clone() Set {
+	n := 0
+	for _, r := range s {
+		n += len(r.LHS)
+	}
+	lhs := make([]Constraint, 0, n)
+	deps := make([]RFD, len(s))
+	out := make(Set, len(s))
+	for i, r := range s {
+		k := len(lhs)
+		lhs = append(lhs, r.LHS...)
+		deps[i] = RFD{LHS: lhs[k:len(lhs):len(lhs)], RHS: r.RHS}
+		out[i] = &deps[i]
+	}
+	return out
+}
+
 // Contains reports whether the set holds a structurally equal dependency.
 func (s Set) Contains(r *RFD) bool {
 	for _, o := range s {
