@@ -40,7 +40,7 @@ test:
 kernels:
 	$(GO) test -short -count=1 -run 'TestExhaustiveKernelAgreement|TestKernelDifferentialRandom' ./internal/distance/
 
-# The concurrency-sensitive packages (parallel imputation, parallel
+# The concurrency-sensitive packages (concurrent imputation runs, parallel
 # discovery, the lock-free metrics sink, the trace ring) under the race
 # detector, with tracing exercised at 100% sampling by the stress tests
 # and concurrent Discover runs sharing one engine view/cache.
@@ -100,7 +100,7 @@ bench-update: bench-json
 # errors under corruption, and the compile -> serve -artifact CLI path.
 artifact-roundtrip:
 	$(GO) test -count=1 \
-	  -run 'TestArtifact|TestCompileServeArtifactRoundTrip|TestDeterministic|TestDecode|TestRoundTrip|TestSharedRoundTrip|TestIndex.*RoundTrip' \
+	  -run 'TestArtifact|TestCompileServeArtifactRoundTrip|TestDeterministic|TestDecode|TestRoundTrip|TestSharedRoundTrip' \
 	  ./internal/artifact/ ./internal/engine/ ./internal/core/ ./cmd/renuver/
 
 # The end-to-end benchmark's own tests. perfbench is a separate module

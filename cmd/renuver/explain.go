@@ -85,7 +85,7 @@ func explainCell(cfg explainConfig, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts, err := imputerOptions(cfg.order, cfg.verify, 0, 0)
+	opts, err := imputerOptions(cfg.order, cfg.verify)
 	if err != nil {
 		return err
 	}

@@ -76,8 +76,8 @@ func runServe(args []string) error {
 		maxLHS       = fs.Int("maxlhs", 2, "discovery LHS size limit when -rfds is omitted")
 		order        = fs.String("order", "asc", "RHS-threshold cluster order: asc or desc")
 		verify       = fs.String("verify", "lhs", "IS_FAULTLESS scope: lhs, both, off")
-		workers      = fs.Int("workers", 0, "parallel workers for discovery and imputation candidate search (0 = serial candidate search, all CPUs for discovery)")
-		shards       = fs.Int("shards", 0, "discovery pattern shards and donor-pool sub-indexes (0 = unsharded; output identical for any value)")
+		workers      = fs.Int("workers", 0, "parallel discovery workers (0 = all CPUs; output identical)")
+		shards       = fs.Int("shards", 0, "discovery pattern shards (0 = unsharded; output identical for any value)")
 		traceSample  = fs.Int("trace-sample", 0, "trace every Nth cell's imputation decisions (0 = tracing off, 1 = every cell)")
 		traceCells   = fs.Int("trace-cells", 0, "cell traces retained in the ring (0 = default 256)")
 		poolSize     = fs.Int("pool-size", 0, "concurrent imputation runs (0 = number of CPUs)")
@@ -118,7 +118,7 @@ func runServe(args []string) error {
 	}
 	logger := newLogger(*logJSON)
 
-	opts, err := imputerOptions(*order, *verify, *workers, *shards)
+	opts, err := imputerOptions(*order, *verify)
 	if err != nil {
 		return err
 	}
@@ -220,17 +220,15 @@ func runServe(args []string) error {
 // flags: 0 means the documented default, negatives and absurdly large
 // values (nobody runs 10k workers on one box) are rejected before any
 // work starts. It is the shared renuver.CheckParallelism rule, so the
-// flags, the imputer options, and discovery all enforce one bound.
+// flags and discovery enforce one bound.
 func validateParallelism(name string, v int) error {
 	return renuver.CheckParallelism(name, v)
 }
 
-// imputerOptions translates the shared CLI flags into imputer options.
-// workers and shards follow the uniform defaulting rule — 0 means the
-// default (serial tuple scans, unsharded donor search), negatives are
-// rejected here so both the one-shot and serve entry points refuse them
-// before any work starts.
-func imputerOptions(order, verify string, workers, shards int) ([]renuver.Option, error) {
+// imputerOptions translates the shared CLI flags into imputer options,
+// rejecting unknown values so both the one-shot and serve entry points
+// refuse them before any work starts.
+func imputerOptions(order, verify string) ([]renuver.Option, error) {
 	var opts []renuver.Option
 	switch order {
 	case "asc":
@@ -247,18 +245,6 @@ func imputerOptions(order, verify string, workers, shards int) ([]renuver.Option
 		opts = append(opts, renuver.WithVerifyMode(renuver.VerifyOff))
 	default:
 		return nil, fmt.Errorf("unknown -verify %q", verify)
-	}
-	if workers < 0 {
-		return nil, fmt.Errorf("-workers must be >= 0, got %d", workers)
-	}
-	if workers > 1 {
-		opts = append(opts, renuver.WithWorkers(workers))
-	}
-	if shards < 0 {
-		return nil, fmt.Errorf("-shards must be >= 0, got %d", shards)
-	}
-	if shards > 1 {
-		opts = append(opts, renuver.WithDonorShards(shards))
 	}
 	return opts, nil
 }
@@ -536,13 +522,6 @@ func newServeRegistry(sess *renuver.Session, metrics *renuver.MetricsRecorder) (
 				out[i] = renuver.ShardStat{Hits: s.Hits, Misses: s.Misses, Merges: s.Merges}
 			}
 			return out
-		}))
-	}
-	if sess.DonorShardStats() != nil {
-		// The scatter-gather donor sweep's per-sub-pool skew view; absent
-		// unless the session was built with -shards > 1.
-		reg.Register(renuver.NewDonorShardStatsCollector("donor_shard", func() []renuver.DonorShardStat {
-			return sess.DonorShardStats()
 		}))
 	}
 	return reg, latency

@@ -676,93 +676,19 @@ func TestServeShardStatsExposed(t *testing.T) {
 	}
 }
 
-// TestServeDonorShardStatsExposed: a session built with -shards > 1
-// exposes the scatter-gather donor sweep's per-sub-pool counters on
-// /metrics, in both the Prometheus text exposition (with HELP/TYPE
-// preambles) and the JSON snapshot.
-func TestServeDonorShardStatsExposed(t *testing.T) {
-	base, err := renuver.LoadCSVString(paperCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma, err := renuver.DiscoverRFDs(base, renuver.DiscoveryOptions{MaxThreshold: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := renuver.NewMetricsRecorder()
-	sess, err := renuver.NewSession(base, sigma,
-		renuver.WithRecorder(metrics), renuver.WithDonorShards(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux, _ := newServeMux(sess, metrics, nil, nil, quietLogger(), serveLimits{})
-
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/impute", strings.NewReader(paperCSV)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("impute = %d: %s", rec.Code, rec.Body.String())
-	}
-
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", "text/plain;version=0.0.4")
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, req)
-	body := rec.Body.String()
-	for _, want := range []string{
-		"# HELP renuver_donor_shard_scans_total ",
-		"# TYPE renuver_donor_shard_scans_total counter",
-		`renuver_donor_shard_scans_total{shard="0"} `,
-		`renuver_donor_shard_donors_total{shard="2"} `,
-		`renuver_donor_shard_candidates_total{shard="0"} `,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var snap struct {
-		Extra map[string]json.RawMessage `json:"extra"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	var shards []renuver.DonorShardStat
-	if err := json.Unmarshal(snap.Extra["donor_shards"], &shards); err != nil {
-		t.Fatalf("donor_shards extra: %v", err)
-	}
-	if len(shards) != 3 {
-		t.Fatalf("donor shard stats = %v, want 3 entries", shards)
-	}
-	var scans int64
-	for _, s := range shards {
-		scans += s.Scans
-	}
-	if scans == 0 {
-		t.Error("donor shard stats all zero after a sharded imputation")
-	}
-}
-
 func TestImputerOptionsValidation(t *testing.T) {
-	if _, err := imputerOptions("sideways", "lhs", 0, 0); err == nil {
+	if _, err := imputerOptions("sideways", "lhs"); err == nil {
 		t.Fatal("bad order accepted")
 	}
-	if _, err := imputerOptions("asc", "maybe", 0, 0); err == nil {
+	if _, err := imputerOptions("asc", "maybe"); err == nil {
 		t.Fatal("bad verify accepted")
 	}
-	if _, err := imputerOptions("asc", "lhs", -1, 0); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-	if _, err := imputerOptions("asc", "lhs", 0, -1); err == nil {
-		t.Fatal("negative shards accepted")
-	}
-	opts, err := imputerOptions("desc", "both", 4, 4)
+	opts, err := imputerOptions("desc", "both")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(opts) != 4 {
-		t.Fatalf("opts = %d, want 4", len(opts))
+	if len(opts) != 2 {
+		t.Fatalf("opts = %d, want 2", len(opts))
 	}
 }
 

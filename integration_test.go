@@ -95,7 +95,7 @@ func buildAllMethods(t *testing.T, sigma RFDSet, dcs []*DC) []Method {
 	}
 	return []Method{
 		AsMethod(NewImputer(sigma)),
-		AsMethod(NewImputer(sigma, WithWorkers(2))),
+		AsMethod(NewImputer(sigma, WithVerifyMode(VerifyBothSides))),
 		kn, dr, rnd, hc, NewMeanMode(), lr, ex,
 	}
 }

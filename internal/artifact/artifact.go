@@ -20,10 +20,10 @@
 //	  size-8   checksum   uint64 — CRC-64/ECMA over bytes [0, size-8)
 //
 // Sections carry application state (columnar view, interning tables,
-// candidate-index buckets, the Σ rule set — see the Sec* ids); inside a
-// section every slab is count-prefixed and fixed-width, so references
-// between structures are integer offsets, never pointers, and a decoder
-// can either copy slabs out or keep reading the mapped bytes in place.
+// the Σ rule set — see the Sec* ids); inside a section every slab is
+// count-prefixed and fixed-width, so references between structures are
+// integer offsets, never pointers, and a decoder can either copy slabs
+// out or keep reading the mapped bytes in place.
 //
 // Decoding is defensive: every count is validated against the bytes
 // actually remaining before any allocation, so a truncated or
@@ -41,8 +41,9 @@ import (
 )
 
 // FormatVersion is the artifact layout version this package writes and
-// the only version it accepts back.
-const FormatVersion uint16 = 1
+// the only version it accepts back. Version 2 dropped version 1's
+// candidate-index section (id 5), which no reader used.
+const FormatVersion uint16 = 2
 
 // magic identifies a RENUVER artifact file.
 var magic = [4]byte{'R', 'N', 'V', 'A'}
@@ -61,8 +62,9 @@ const trailerLen = 8
 const tableEntryLen = 24
 
 // Section ids of the compiled-session artifact. Ids are stable across
-// format versions; a reader asks for the sections it understands and
-// ignores the rest.
+// format versions and never reused (id 5 was version 1's candidate
+// index); a reader asks for the sections it understands and ignores the
+// rest.
 const (
 	// SecMeta is the compiled-session summary (tuple count, arity, rule
 	// count) — readable without decoding anything else.
@@ -76,9 +78,6 @@ const (
 	// with offset tables, pre-decoded rune slabs, rune counts, and the
 	// PR 6 alphabet masks.
 	SecInterners uint32 = 4
-	// SecIndex is the candidate Index: equality buckets, sorted numeric
-	// range columns, and string length buckets.
-	SecIndex uint32 = 5
 	// SecSigma is the Σ rule set (RFDc LHS/RHS constraints).
 	SecSigma uint32 = 6
 )

@@ -3,11 +3,10 @@ package core
 // Compiled-session artifacts: a Session with a precompiled base can be
 // serialized into the versioned binary format of internal/artifact and
 // reconstructed on another replica without re-running RFD discovery or
-// the engine compile — the flat columnar slabs, interning tables,
-// candidate index, and Σ load directly. The distance cache is a pure
-// memo and is not serialized; a loaded session starts cold and produces
-// byte-identical imputations, Stats, and traces versus a from-scratch
-// compile.
+// the engine compile — the flat columnar slabs, interning tables and Σ
+// load directly. The distance cache is a pure memo and is not
+// serialized; a loaded session starts cold and produces byte-identical
+// imputations, Stats, and traces versus a from-scratch compile.
 
 import (
 	"fmt"
@@ -116,12 +115,12 @@ func decodeSigma(r *artifact.Reader, arity int) (rfd.Set, error) {
 }
 
 // EncodeArtifact serializes the session's compiled state — base
-// columns, interning tables, candidate index over Σ's LHS attributes,
-// and Σ itself — into one artifact, all read from the one epoch the
-// call pins (an artifact can never mix two epochs' state, even while
-// deltas apply concurrently). Encoding the same session twice at the
-// same epoch yields byte-identical output. Self-contained sessions
-// (nil base) have no compiled state to persist and return an error.
+// columns, interning tables, and Σ — into one artifact, all read from
+// the one epoch the call pins (an artifact can never mix two epochs'
+// state, even while deltas apply concurrently). Encoding the same
+// session twice at the same epoch yields byte-identical output.
+// Self-contained sessions (nil base) have no compiled state to persist
+// and return an error.
 func (s *Session) EncodeArtifact() ([]byte, error) {
 	ep := s.pin()
 	if ep == nil {
@@ -134,11 +133,6 @@ func (s *Session) EncodeArtifact() ([]byte, error) {
 	b.Uint32(uint32(ep.shared.Arity()))
 	b.Uint32(uint32(len(ep.sigma)))
 	ep.shared.EncodeTo(b)
-	ix := ep.index
-	if ix == nil {
-		ix = engine.NewIndex(ep.shared.View(), ep.sigma)
-	}
-	ix.EncodeTo(b)
 	encodeSigma(b, ep.sigma)
 	data := b.Finish()
 	r, err := artifact.Decode(data)
@@ -212,11 +206,11 @@ func filepathDir(path string) string {
 
 // NewSessionFromArtifact reconstructs a serving Session from an encoded
 // artifact, skipping RFD discovery and the engine compile entirely: the
-// columnar base, interning tables, candidate index, and Σ decode
-// straight from the flat slabs. The data slice is read during decode
-// and not retained (string blobs are copied once per attribute), so an
-// mmap-backed caller may unmap after this returns. Options are
-// validated exactly as NewSession validates them.
+// columnar base, interning tables, and Σ decode straight from the flat
+// slabs. The data slice is read during decode and not retained (string
+// blobs are copied once per attribute), so an mmap-backed caller may
+// unmap after this returns. Options are validated exactly as NewSession
+// validates them.
 func NewSessionFromArtifact(data []byte, opts ...Option) (*Session, error) {
 	r, err := artifact.Decode(data)
 	if err != nil {
@@ -242,15 +236,10 @@ func NewSessionFromArtifact(data []byte, opts ...Option) (*Session, error) {
 		return nil, artifact.Corruptf("meta (%d tuples, arity %d, %d rules) disagrees with payload (%d, %d, %d)",
 			tuples, arity, rules, shared.Len(), shared.Arity(), len(sigma))
 	}
-	ix, err := engine.DecodeIndex(r, shared.View())
-	if err != nil {
-		return nil, err
-	}
 	im := New(sigma, opts...)
 	if err := im.opts.Validate(); err != nil {
 		return nil, err
 	}
-	im.attachDonorStats()
 	s := &Session{
 		im: im,
 		art: &ArtifactInfo{
@@ -262,10 +251,7 @@ func NewSessionFromArtifact(data []byte, opts ...Option) (*Session, error) {
 			Bytes:         len(data),
 		},
 	}
-	// The decoded state becomes epoch 0; the decoded index is carried so
-	// a later EncodeArtifact round-trips it, and insert-only deltas
-	// extend it incrementally.
-	s.newEpoch(shared, ix, sigma)
+	s.newEpoch(shared, sigma)
 	return s, nil
 }
 

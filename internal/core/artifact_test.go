@@ -276,6 +276,12 @@ func TestArtifactDecodeTypedErrors(t *testing.T) {
 			binary.LittleEndian.PutUint16(d[4:], 99)
 			return d
 		}, artifact.ErrVersion},
+		{"format v1", func(d []byte) []byte {
+			// Version 1 carried the candidate-index section; its files are
+			// refused, not half-read.
+			binary.LittleEndian.PutUint16(d[4:], 1)
+			return resealArtifact(d)
+		}, artifact.ErrVersion},
 		{"truncated half", func(d []byte) []byte { return d[:len(d)/2] }, artifact.ErrTruncated},
 		{"bit flip", func(d []byte) []byte { d[len(d)/2] ^= 0x40; return d }, artifact.ErrChecksum},
 		{"resealed bit flip", func(d []byte) []byte {

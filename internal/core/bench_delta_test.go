@@ -9,18 +9,11 @@ import (
 	"repro/internal/dataset"
 )
 
-// benchDeltaWorkers pins the delta fixtures to one worker. With Workers
-// left at 0, Σ revalidation fans out to runtime.NumCPU() goroutines, so
-// allocs/op would depend on the host's CPU count and could not be gated
-// against a baseline recorded elsewhere.
-var benchDeltaWorkers = WithWorkers(1)
-
 // benchSteadyDelta builds the steady-state mutation for iteration i
 // over an n-row instance: one cell rewrite, one delete, one insert of
 // the deleted row's values — the row count is invariant, so row handles
 // stay valid across any number of applications and every ApplyDelta
-// iteration does the same amount of work (build, revalidate two rows,
-// maintain the index).
+// iteration does the same amount of work (build, revalidate two rows).
 func benchSteadyDelta(rel *dataset.Relation, i, n int) Delta {
 	victim := i % n
 	donor := (i*7 + 1) % n
@@ -33,11 +26,11 @@ func benchSteadyDelta(rel *dataset.Relation, i, n int) Delta {
 
 // BenchmarkApplyDelta measures the writer half of a live session: one
 // epoch publication — successor build, Σ revalidation over the changed
-// rows, index maintenance, snapshot swap — on a 200-tuple instance.
+// rows, snapshot swap — on a 200-tuple instance.
 func BenchmarkApplyDelta(b *testing.B) {
 	base := benchRelation(b, 40) // 200 tuples
 	sigma := figure1Sigma(b, base.Schema())
-	sess, err := NewSession(base, sigma, benchDeltaWorkers)
+	sess, err := NewSession(base, sigma)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -60,7 +53,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 func BenchmarkImputeUnderDeltas(b *testing.B) {
 	base := benchRelation(b, 40)
 	sigma := figure1Sigma(b, base.Schema())
-	sess, err := NewSession(base, sigma, benchDeltaWorkers)
+	sess, err := NewSession(base, sigma)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -98,7 +91,7 @@ func TestBenchDeltaJSON(t *testing.T) {
 	// not comparable).
 	base := benchRelation(t, 40)
 	sigma := figure1Sigma(t, base.Schema())
-	sess, err := NewSession(base, sigma, benchDeltaWorkers)
+	sess, err := NewSession(base, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}

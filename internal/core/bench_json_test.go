@@ -23,8 +23,8 @@ type BenchRecord struct {
 }
 
 // benchRelation replicates Table 2 into a larger deterministic instance
-// so the parallel scan benchmark has real fan-out. Row 3's Phone stays
-// missing in every block.
+// so the candidate sweep benchmark scans real donors. Row 3's Phone
+// stays missing in every block.
 func benchRelation(tb testing.TB, blocks int) *dataset.Relation {
 	tb.Helper()
 	base := []string{
@@ -50,7 +50,7 @@ func benchRelation(tb testing.TB, blocks int) *dataset.Relation {
 
 // TestBenchJSON seeds the bench-regression trajectory: when BENCH_OUT
 // names a file (e.g. BENCH_core.json), the three hot-path benchmarks —
-// Impute, findCandidateTuplesParallel, Levenshtein — are run via
+// Impute, findCandidateTuples, Levenshtein — are run via
 // testing.Benchmark and their ns/op and allocs/op written as JSON.
 //
 //	BENCH_OUT=BENCH_core.json go test ./internal/core -run TestBenchJSON
@@ -84,11 +84,11 @@ func TestBenchJSON(t *testing.T) {
 				}
 			}
 		})),
-		record("findCandidateTuplesParallel", testing.Benchmark(func(b *testing.B) {
+		record("findCandidateTuples", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			bigMatcher := engine.Compile(big).Matcher()
 			for i := 0; i < b.N; i++ {
-				findCandidateTuplesParallel(context.Background(), bigMatcher, 3, phone, deps, 4)
+				findCandidateTuples(context.Background(), bigMatcher, nil, false, 3, phone, deps)
 			}
 		})),
 		record("Levenshtein", testing.Benchmark(func(b *testing.B) {

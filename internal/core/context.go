@@ -44,9 +44,8 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	sp := obs.SpanFromContext(ctx).Child("impute")
 	defer sp.End()
 
-	// One kernel arena for the run goroutine: every serial scan below
-	// evaluates through it, so the string kernels never allocate.
-	// Parallel scans give each worker its own. The key tracker and the
+	// One kernel arena for the run: every scan below evaluates through
+	// it, so the string kernels never allocate. The key tracker and the
 	// verify plan share its RowPass buffers, reused from row to row and
 	// cell to cell.
 	m := eng.Matcher()
@@ -59,9 +58,9 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	incomplete := work.IncompleteRows()
 	res.Stats.MissingCells = work.CountMissing()
 
-	var idx donorIndex
+	var idx *engine.Index
 	if useIndex {
-		idx = newDonorIndex(eng, im.sigma, im.opts.DonorShards)
+		idx = engine.NewIndex(eng, im.sigma)
 	}
 	if preSpan.Enabled() {
 		preSpan.Int("key_rfds", int64(kt.keys))
@@ -104,9 +103,7 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 			}
 			cell.End()
 			if imputed {
-				if idx != nil {
-					idx.Insert(row, attr)
-				}
+				idx.Insert(row, attr)
 				if !im.opts.NoKeyReevaluation {
 					reevalStart := time.Now()
 					krSpan := sp.Child("key_reeval")
@@ -133,14 +130,12 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 // finishRun seals the result (tail counters, engine cache/index
 // counters, total wall clock) and forwards the run to the configured
 // recorder and the run span.
-func (im *Imputer) finishRun(res *Result, eng *engine.View, idx donorIndex, runStart time.Time, sp obs.Span) {
+func (im *Imputer) finishRun(res *Result, eng *engine.View, idx *engine.Index, runStart time.Time, sp obs.Span) {
 	res.finish(eng.Relation())
 	hits, misses := eng.CacheStats()
 	res.Stats.EngineCacheHits = int(hits)
 	res.Stats.EngineCacheMisses = int(misses)
-	if idx != nil {
-		res.Stats.EngineIndexProbes = int(idx.Probes())
-	}
+	res.Stats.EngineIndexProbes = int(idx.Probes())
 	res.Stats.Phases.Total = time.Since(runStart)
 	if sp.Enabled() {
 		sp.Int("missing_cells", int64(res.Stats.MissingCells))

@@ -3,12 +3,12 @@ package core
 // Live-data sessions: ApplyDelta evolves a compiled Session's base
 // instance in place — epoch-based RCU instead of a full recompile.
 //
-// A Session with a base holds its compiled state (engine.Shared, the
-// optional candidate index, and the Σ in force) in an immutable
-// epochState published through an atomic pointer. Readers (Impute,
-// Explain, EncodeArtifact, BaseView) pin the current epoch for the
-// duration of one call — a counter increment, no lock — so a
-// concurrent ApplyDelta can never tear the (view, Σ) pair a run sees.
+// A Session with a base holds its compiled state (engine.Shared and the
+// Σ in force) in an immutable epochState published through an atomic
+// pointer. Readers (Impute, Explain, EncodeArtifact, BaseView) pin the
+// current epoch for the duration of one call — a counter increment, no
+// lock — so a concurrent ApplyDelta can never tear the (view, Σ) pair a
+// run sees.
 // The writer (serialized by applyMu) builds the entire next epoch off
 // to the side, publishes it with one atomic store, and marks the old
 // epoch superseded; the old epoch is retired — an accounting event,
@@ -24,8 +24,9 @@ package core
 //   - Σ is revalidated only against the pairs the delta introduces
 //     (discovery.RevalidateRows); deletes are monotone-safe and check
 //     nothing;
-//   - no candidate index is maintained: Impute never reads one in
-//     session mode, so every successor epoch publishes none.
+//   - tuples are shared between epochs: the successor relation holds
+//     the same surviving tuples, and only a row an update targets is
+//     copied before it is written.
 
 import (
 	"context"
@@ -42,18 +43,13 @@ import (
 
 // epochState is one immutable published generation of a session's
 // compiled base. Everything a reader dereferences through it is frozen;
-// successor epochs share structure (interner slabs, cache shards,
-// index buckets) but never mutate it.
+// successor epochs share structure (tuples, interner slabs, cache
+// shards) but never mutate it.
 type epochState struct {
 	// seq is the epoch number: 0 at construction, +1 per applied delta.
 	seq uint64
 	// shared is the compiled base instance of this epoch.
 	shared *engine.Shared
-	// index is the candidate index over sigma's LHS attributes, carried
-	// from an artifact load into epoch 0 only (nil for freshly compiled
-	// sessions and after any delta — the Impute hot path does not
-	// consult it, and EncodeArtifact builds one when it is nil).
-	index *engine.Index
 	// sigma is the dependency set in force at this epoch.
 	sigma rfd.Set
 	// rec receives the retirement event.
@@ -255,9 +251,19 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 
 	// Build the next logical relation: updates on the pre-delta
 	// numbering, then deletes (order-preserving compaction), then
-	// inserts appended.
+	// inserts appended. Surviving tuples are shared with the current
+	// epoch, except that a row an update targets is copied once:
+	// Relation.Set writes in place, and older epochs and WithSigma
+	// snapshots still read the old tuple.
 	buildStart := time.Now()
 	buildSpan := sp.Child("delta_build")
+	var touched []bool
+	if len(d.Updates) > 0 {
+		touched = make([]bool, n)
+		for _, u := range d.Updates {
+			touched[u.Row] = true
+		}
+	}
 	next := dataset.NewRelation(schema)
 	newRow := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -266,7 +272,11 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 			continue
 		}
 		newRow[i] = next.Len()
-		next.MustAppend(old.Row(i).Clone())
+		t := old.Row(i)
+		if touched != nil && touched[i] {
+			t = t.Clone()
+		}
+		next.MustAppend(t)
 	}
 	updated := 0
 	for _, u := range d.Updates {
@@ -314,9 +324,6 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 		return nil, engine.Canceled(ctx)
 	}
 
-	// The successor carries no candidate index: Impute never consults
-	// one in session mode, and EncodeArtifact builds its own when the
-	// epoch has none.
 	ep := &epochState{
 		seq:    cur.seq + 1,
 		shared: evolved,

@@ -11,14 +11,12 @@ import (
 )
 
 // parityConfigs are the evaluation-engine configurations that must all
-// produce the same imputations: the engine's cache, index, and parallel
-// scans are pure optimizations.
+// produce the same imputations: the engine's cache and index are pure
+// optimizations.
 func parityConfigs() map[string][]Option {
 	return map[string][]Option{
-		"default":          nil,
-		"no-index":         {WithoutIndex()},
-		"workers":          {WithWorkers(4)},
-		"no-index-workers": {WithoutIndex(), WithWorkers(4)},
+		"default":  nil,
+		"no-index": {WithoutIndex()},
 	}
 }
 

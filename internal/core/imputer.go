@@ -219,13 +219,13 @@ type candidate struct {
 // imputed, and a non-nil error when the context expired mid-cell — the
 // working relation is then left consistent (any tentative value was
 // reverted) but the cell unresolved. idx may be nil (no donor index
-// available). m is the run goroutine's matcher over the compiled view
-// of the working relation (plus, for the multi-dataset extension, the
-// donor pool): candidate rows are flat view indices. plan is the run
-// goroutine's verify plan, rebuilt for this cell by its first untraced
-// verification and reused by every later candidate of every cluster.
+// available). m is the run's matcher over the compiled view of the
+// working relation (plus, for the multi-dataset extension, the donor
+// pool): candidate rows are flat view indices. plan is the run's verify
+// plan, rebuilt for this cell by its first untraced verification and
+// reused by every later candidate of every cluster.
 func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, plan *verifyPlan, row, attr int,
-	sigmaPrime rfd.Set, clusters []rfd.Cluster, res *Result, idx donorIndex, cell obs.Span) (bool, error) {
+	sigmaPrime rfd.Set, clusters []rfd.Cluster, res *Result, idx *engine.Index, cell obs.Span) (bool, error) {
 
 	rec := im.opts.recorder()
 	eng := m.View()
@@ -247,29 +247,17 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, pl
 		}
 		searchStart := time.Now()
 		searchSpan := cell.Child("candidate_search")
-		var donorPool int
-		var cands []candidate
-		if rows, ok := candidateRowsOf(idx, row, cluster.RFDs); ok {
+		rows, indexed := idx.CandidateRows(row, cluster.RFDs)
+		donorPool := eng.Len() - 1
+		switch {
+		case indexed:
 			res.Stats.IndexHits++
-			res.Stats.DonorsScanned += len(rows)
 			donorPool = len(rows)
-			cands = findCandidateTuplesIndexed(ctx, m, rows, row, attr, cluster.RFDs)
-		} else {
-			if idx != nil {
-				res.Stats.IndexMisses++
-			}
-			res.Stats.DonorsScanned += eng.Len() - 1
-			donorPool = eng.Len() - 1
-			switch {
-			case im.opts.DonorShards > 1:
-				cands = findCandidateTuplesSharded(ctx, m, row, attr, cluster.RFDs,
-					im.opts.DonorShards, im.opts.donorStats, rec)
-			case im.opts.Workers > 1:
-				cands = findCandidateTuplesParallel(ctx, m, row, attr, cluster.RFDs, im.opts.Workers)
-			default:
-				cands = findCandidateTuples(ctx, m, row, attr, cluster.RFDs)
-			}
+		case idx != nil:
+			res.Stats.IndexMisses++
 		}
+		res.Stats.DonorsScanned += donorPool
+		cands := findCandidateTuples(ctx, m, rows, indexed, row, attr, cluster.RFDs)
 		if searchSpan.Enabled() {
 			searchSpan.Int("donor_pool", int64(donorPool))
 			searchSpan.Int("candidates", int64(len(cands)))
@@ -414,42 +402,30 @@ func endVerifySpan(sp obs.Span, attempts int, faultless int64, plan *verifyPlan,
 // findCandidateTuples is Algorithm 3: every tuple t_j ≠ t with a value on
 // A whose distance pattern against t satisfies the LHS of at least one
 // RFDc in the cluster becomes a candidate, scored with the minimum mean
-// LHS distance (Eq. 2) over the matching RFDcs. The scan covers every
+// LHS distance (Eq. 2) over the matching RFDcs. The sweep covers every
 // flat row of the view — the working relation plus, in the
-// multi-dataset extension, the donor pool. The context is checked every
-// engine.CheckEvery rows; an expired context makes the scan return
-// early with a partial list the caller must discard.
-func findCandidateTuples(ctx context.Context, m *engine.Matcher, row, attr int, deps rfd.Set) []candidate {
+// multi-dataset extension, the donor pool — or, when indexed, only the
+// donor index's rows for the cluster: an ascending list without the
+// query row, outside which every donor fails all premises, so both
+// sweeps return the same candidates in the same order. The context is
+// checked every engine.CheckEvery rows; an expired context makes the
+// sweep return early with a partial list the caller must discard.
+func findCandidateTuples(ctx context.Context, m *engine.Matcher, rows []int, indexed bool, row, attr int, deps rfd.Set) []candidate {
 	v := m.View()
-	var cands []candidate
-	for j := 0; j < v.Len(); j++ {
-		if j%engine.CheckEvery == 0 && ctx.Err() != nil {
-			return cands
-		}
-		if j == row {
-			continue
-		}
-		if v.IsNull(j, attr) {
-			continue
-		}
-		if d, ok := m.DistMin(deps, row, j); ok {
-			cands = append(cands, candidate{row: j, dist: d})
-		}
+	n := v.Len()
+	if indexed {
+		n = len(rows)
 	}
-	return cands
-}
-
-// findCandidateTuplesIndexed is findCandidateTuples restricted to the
-// index-provided row set. Results are identical to the full scan because
-// every donor outside the set fails all premises.
-func findCandidateTuplesIndexed(ctx context.Context, m *engine.Matcher, rows []int, row, attr int, deps rfd.Set) []candidate {
-	v := m.View()
 	var cands []candidate
-	for k, j := range rows {
+	for k := 0; k < n; k++ {
 		if k%engine.CheckEvery == 0 && ctx.Err() != nil {
 			return cands
 		}
-		if v.IsNull(j, attr) {
+		j := k
+		if indexed {
+			j = rows[k]
+		}
+		if j == row || v.IsNull(j, attr) {
 			continue
 		}
 		if d, ok := m.DistMin(deps, row, j); ok {

@@ -75,12 +75,11 @@ func runKernelParity(t *testing.T, label string, rel *dataset.Relation, sigma rf
 }
 
 // TestKernelParityTable2: the paper's worked example imputes
-// byte-identically under every string kernel, serial and parallel.
+// byte-identically under every string kernel.
 func TestKernelParityTable2(t *testing.T) {
 	rel := table2(t)
 	sigma := figure1Sigma(t, rel.Schema())
 	runKernelParity(t, "table2", rel, sigma)
-	runKernelParity(t, "table2-workers", rel, sigma, WithWorkers(4))
 }
 
 // TestKernelParityWorkloads: the bench workloads (replicated Table 2

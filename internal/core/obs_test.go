@@ -101,10 +101,9 @@ func TestImputeStatsWithoutRecorder(t *testing.T) {
 }
 
 // TestParallelImputeRaceStress drives many concurrent ImputeContext calls
-// over a shared Σ, a shared input relation, and a shared recorder with
-// parallel workers enabled. Run with -race this pins down that the
-// imputer is stateless across calls and the metrics sink is lock-free
-// safe.
+// over a shared Σ, a shared input relation, and a shared recorder. Run
+// with -race this pins down that the imputer is stateless across calls
+// and the metrics sink is lock-free safe.
 func TestParallelImputeRaceStress(t *testing.T) {
 	rel := table2(t)
 	sigma := figure1Sigma(t, rel.Schema())
@@ -115,7 +114,7 @@ func TestParallelImputeRaceStress(t *testing.T) {
 	const goroutines = 8
 	const iterations = 5
 	tr := obs.NewRingTracer(goroutines*iterations*4, 1)
-	im := New(sigma, WithRecorder(m), WithWorkers(4), WithTracer(tr))
+	im := New(sigma, WithRecorder(m), WithTracer(tr))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*iterations)
@@ -189,7 +188,7 @@ func TestParallelImputeSampledTracer(t *testing.T) {
 	rel := table2(t)
 	sigma := figure1Sigma(t, rel.Schema())
 	tr := obs.NewRingTracer(4, 2)
-	im := New(sigma, WithWorkers(4), WithTracer(tr))
+	im := New(sigma, WithTracer(tr))
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

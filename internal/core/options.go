@@ -26,7 +26,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/par"
 )
 
 // ClusterOrder selects the order in which RHS-threshold clusters are
@@ -64,10 +63,10 @@ const (
 //
 // Defaulting rule (uniform across Options, discovery.Config, and the
 // serve flags): the zero value of every field is the paper-faithful
-// default, zero numeric values mean "pick the default" (serial scans,
-// unlimited candidates), and negative numeric values are invalid —
-// rejected by Validate and therefore by NewSession and the CLI at
-// construction time, never silently clamped mid-run.
+// default, zero numeric values mean "pick the default" (unlimited
+// candidates), and negative numeric values are invalid — rejected by
+// Validate and therefore by NewSession and the CLI at construction
+// time, never silently clamped mid-run.
 type Options struct {
 	// ClusterOrder is the order RHS-threshold clusters are tried in.
 	ClusterOrder ClusterOrder
@@ -86,27 +85,11 @@ type Options struct {
 	// MaxCandidates, when positive, caps how many ranked candidates are
 	// tried per cluster before moving on. Zero means unlimited.
 	MaxCandidates int
-	// Workers, when above 1, parallelizes candidate search (the donor
-	// scans of Algorithm 3) across that many goroutines; discovery has
-	// its own worker count. Results are bit-identical to the serial run.
-	// Everything else runs on the run goroutine: the imputation loop
-	// (imputed tuples become donors for later cells), key-RFDc detection
-	// and re-evaluation, and verification through the cell's verify
-	// plan.
-	Workers int
 	// NoIndex disables the donor index — the inverted value index on
 	// equality-constrained (threshold 0) LHS attributes that lets
 	// candidate generation skip donors that cannot satisfy any premise.
 	// Results are identical either way.
 	NoIndex bool
-	// DonorShards, when above 1, splits the donor pool into that many
-	// independent sub-pools: the candidate index becomes a scatter-gather
-	// over per-band sub-indexes, and full donor sweeps scan the bands
-	// concurrently and concatenate in band order. Imputations, Stats, and
-	// traces are byte-identical to the unsharded run for any shard count;
-	// only the per-shard obs counters (donor_shard_* on /metrics) see the
-	// partitioning. 0 or 1 means the single-pool path.
-	DonorShards int
 	// Recorder receives pipeline events (counters, histograms, phase
 	// timings) across runs. Nil means obs.Nop: Result.Stats is still
 	// filled, but nothing is aggregated process-wide.
@@ -116,28 +99,14 @@ type Options struct {
 	// way it did). Sampled cells also land in Result.Traces, queryable
 	// with Result.Explain. Nil disables tracing entirely.
 	Tracer obs.Tracer
-
-	// donorStats accumulates per-sub-pool scatter-gather counters across
-	// runs when DonorShards > 1. Attached by NewSession (so derived
-	// sessions and Explain reruns feed the same accumulator) and surfaced
-	// via Session.DonorShardStats; nil means no accumulation.
-	donorStats *donorShardStats
 }
 
 // Validate rejects option values outside their documented domains, per
 // the package defaulting rule: zero means default, negative is an
-// error. Parallelism knobs share the par bounds (negatives and values
-// beyond par.Max rejected); enum fields are checked against their
-// defined values.
+// error. Enum fields are checked against their defined values.
 func (o *Options) Validate() error {
-	if err := par.Check("core: Workers", o.Workers); err != nil {
-		return err
-	}
 	if o.MaxCandidates < 0 {
 		return fmt.Errorf("core: MaxCandidates must be >= 0, got %d", o.MaxCandidates)
-	}
-	if err := par.Check("core: DonorShards", o.DonorShards); err != nil {
-		return err
 	}
 	if o.ClusterOrder != AscendingThreshold && o.ClusterOrder != DescendingThreshold {
 		return fmt.Errorf("core: unknown ClusterOrder %d", o.ClusterOrder)
@@ -177,17 +146,9 @@ func WithoutKeyReevaluation() Option { return func(op *Options) { op.NoKeyReeval
 // WithMaxCandidates caps the candidates tried per cluster.
 func WithMaxCandidates(k int) Option { return func(op *Options) { op.MaxCandidates = k } }
 
-// WithWorkers parallelizes candidate search across n goroutines.
-func WithWorkers(n int) Option { return func(op *Options) { op.Workers = n } }
-
 // WithoutIndex disables the donor index on equality-constrained LHS
 // attributes.
 func WithoutIndex() Option { return func(op *Options) { op.NoIndex = true } }
-
-// WithDonorShards splits the donor pool into n independent sub-pools
-// for scatter-gather candidate search. Results are byte-identical to
-// the single-pool run.
-func WithDonorShards(n int) Option { return func(op *Options) { op.DonorShards = n } }
 
 // WithRecorder aggregates run events into r (typically an *obs.Metrics
 // shared across runs). r must be safe for concurrent use when the same

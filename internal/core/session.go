@@ -41,10 +41,10 @@ import (
 type Session struct {
 	im *Imputer
 
-	// cur is the session's current epoch — the compiled base, its
-	// candidate index, and the Σ in force, published together so readers
-	// can never observe a half-applied delta. Nil in self-contained
-	// mode (and in the internal Imputer-wrapping constructions).
+	// cur is the session's current epoch — the compiled base and the Σ
+	// in force, published together so readers can never observe a
+	// half-applied delta. Nil in self-contained mode (and in the
+	// internal Imputer-wrapping constructions).
 	cur atomic.Pointer[epochState]
 	// applyMu serializes ApplyDelta writers; readers never take it.
 	applyMu sync.Mutex
@@ -56,10 +56,9 @@ type Session struct {
 }
 
 // newEpoch publishes the session's first epoch (seq 0).
-func (s *Session) newEpoch(shared *engine.Shared, ix *engine.Index, sigma rfd.Set) {
+func (s *Session) newEpoch(shared *engine.Shared, sigma rfd.Set) {
 	s.cur.Store(&epochState{
 		shared: shared,
-		index:  ix,
 		sigma:  sigma,
 		rec:    s.im.opts.recorder(),
 	})
@@ -75,25 +74,14 @@ func NewSession(base *dataset.Relation, sigma rfd.Set, opts ...Option) (*Session
 	if err := im.opts.Validate(); err != nil {
 		return nil, err
 	}
-	im.attachDonorStats()
 	s := &Session{im: im}
 	if base != nil {
 		if err := validateSigma(sigma, base.Schema().Len()); err != nil {
 			return nil, err
 		}
-		s.newEpoch(engine.Precompile(base.Clone()), nil, sigma)
+		s.newEpoch(engine.Precompile(base.Clone()), sigma)
 	}
 	return s, nil
-}
-
-// attachDonorStats installs the session-lifetime scatter-gather
-// accumulator when donor sharding is on. One accumulator per session:
-// WithSigma-derived sessions and Explain reruns copy the options and
-// keep feeding it.
-func (im *Imputer) attachDonorStats() {
-	if im.opts.DonorShards > 1 {
-		im.opts.donorStats = newDonorShardStats(im.opts.DonorShards)
-	}
 }
 
 // WithSigma derives a Session serving a different Σ against the same
@@ -113,8 +101,8 @@ func (s *Session) WithSigma(sigma rfd.Set) (*Session, error) {
 	}
 	out := &Session{im: &Imputer{sigma: sigma, opts: s.im.opts}}
 	if ep != nil {
-		// The decoded candidate index and artifact metadata do not carry
-		// over: both are bound to the Σ they were compiled with.
+		// The artifact metadata does not carry over: it describes the Σ
+		// it was compiled with.
 		out.cur.Store(&epochState{
 			seq:    ep.seq,
 			shared: ep.shared,
@@ -152,14 +140,6 @@ func (s *Session) CacheShardStats() []engine.CacheShardStat {
 		return nil
 	}
 	return ep.shared.CacheShardStats()
-}
-
-// DonorShardStats returns the accumulated per-sub-pool scatter-gather
-// counters of the session's sharded donor sweeps, or nil when the
-// session was not built with WithDonorShards > 1 (there is no
-// partitioning to report then).
-func (s *Session) DonorShardStats() []obs.DonorShardStat {
-	return s.im.opts.donorStats.snapshot()
 }
 
 // Discover mines RFDcs from the session's precompiled base without

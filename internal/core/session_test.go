@@ -164,12 +164,12 @@ func TestSessionDeadlinePartialStats(t *testing.T) {
 	}
 }
 
-// TestSessionCancelLeaksNoGoroutines: cancelled parallel runs must not
-// strand scan workers.
+// TestSessionCancelLeaksNoGoroutines: cancelled runs must not strand
+// goroutines.
 func TestSessionCancelLeaksNoGoroutines(t *testing.T) {
 	base := benchRelation(t, 40)
 	sigma := figure1Sigma(t, base.Schema())
-	sess, err := NewSession(base, sigma, WithWorkers(4))
+	sess, err := NewSession(base, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,8 @@ func TestSessionCancelLeaksNoGoroutines(t *testing.T) {
 		_, _ = sess.Impute(ctx, req)
 		cancel()
 	}
-	// Workers drain cooperatively; give them a bounded moment.
+	// Anything a run started drains cooperatively; give it a bounded
+	// moment.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
@@ -290,8 +291,8 @@ func TestSessionConcurrentMixedSessions(t *testing.T) {
 func TestNewSessionValidatesOptions(t *testing.T) {
 	rel := table2(t)
 	sigma := figure1Sigma(t, rel.Schema())
-	if _, err := NewSession(rel, sigma, WithWorkers(-1)); err == nil {
-		t.Error("negative Workers accepted")
+	if _, err := NewSession(rel, sigma, WithClusterOrder(ClusterOrder(7))); err == nil {
+		t.Error("unknown ClusterOrder accepted")
 	}
 	if _, err := NewSession(rel, sigma, WithMaxCandidates(-2)); err == nil {
 		t.Error("negative MaxCandidates accepted")

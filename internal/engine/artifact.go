@@ -1,15 +1,14 @@
 package engine
 
 // Artifact codec for the compiled engine state: the columnar View form
-// of the base relation, the per-attribute interning tables (string
-// blobs, pre-decoded rune slabs, rune lengths, alphabet masks), and the
-// candidate Index buckets. Everything is written as flat count-prefixed
-// slabs with offset-based references — string i of an interner is the
-// blob window [offsets[i], offsets[i+1]), its runes the window of the
-// flat rune slab starting at the running sum of lens — so a decode
-// reconstructs the pointer graph from integers without chasing any
-// serialized pointers, and map-backed structures are written in sorted
-// key order so the encoding is deterministic.
+// of the base relation and the per-attribute interning tables (string
+// blobs, pre-decoded rune slabs, rune lengths, alphabet masks).
+// Everything is written as flat count-prefixed slabs in row or id order
+// with offset-based references — string i of an interner is the blob
+// window [offsets[i], offsets[i+1]), its runes the window of the flat
+// rune slab starting at the running sum of lens — so the encoding is
+// deterministic and a decode reconstructs the pointer graph from
+// integers without chasing any serialized pointers.
 //
 // The distance cache is deliberately not serialized: it is a pure memo,
 // so a freshly loaded Shared starts cold and converges to the same
@@ -17,7 +16,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/artifact"
 	"repro/internal/dataset"
@@ -293,199 +291,4 @@ func cellValue(c *col, in *interner, row, attr int) (dataset.Value, error) {
 	default:
 		return dataset.Value{}, artifact.Corruptf("cell (%d, %d): unknown kind %d", row, attr, k)
 	}
-}
-
-// EncodeTo writes the candidate index — LHS attribute set, equality
-// buckets, sorted numeric range columns, string length buckets — as the
-// SecIndex section. Map buckets are written in sorted key order
-// (equality keys by (class, payload), length buckets by length), so
-// encoding the same index twice is byte-identical. Nil-safe: a nil
-// index (empty Σ LHS) writes a presence byte of 0.
-func (ix *Index) EncodeTo(b *artifact.Builder) {
-	b.Begin(artifact.SecIndex)
-	if ix == nil {
-		b.Uint8(0)
-		return
-	}
-	b.Uint8(1)
-	m := len(ix.lhs)
-	b.Uint32(uint32(m))
-	flags := make([]uint8, m)
-	for a, on := range ix.lhs {
-		if on {
-			flags[a] = 1
-		}
-	}
-	b.Uint8s(flags)
-	for a := 0; a < m; a++ {
-		if !ix.lhs[a] {
-			continue
-		}
-		keys := make([]eqKey, 0, len(ix.eq[a]))
-		for k := range ix.eq[a] {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].cls != keys[j].cls {
-				return keys[i].cls < keys[j].cls
-			}
-			return keys[i].bits < keys[j].bits
-		})
-		b.Uint32(uint32(len(keys)))
-		for _, k := range keys {
-			b.Uint8(k.cls)
-			b.Uint64(k.bits)
-			encodeRows(b, ix.eq[a][k])
-		}
-
-		b.Float64s(ix.numV[a])
-		encodeRows(b, ix.numR[a])
-
-		lenKeys := make([]int, 0, len(ix.lens[a]))
-		for l := range ix.lens[a] {
-			lenKeys = append(lenKeys, l)
-		}
-		sort.Ints(lenKeys)
-		b.Uint32(uint32(len(lenKeys)))
-		for _, l := range lenKeys {
-			b.Uint32(uint32(l))
-			encodeRows(b, ix.lens[a][l])
-		}
-	}
-}
-
-// encodeRows writes a flat row list as a uint32 slab.
-func encodeRows(b *artifact.Builder, rows []int) {
-	v := make([]uint32, len(rows))
-	for i, r := range rows {
-		v[i] = uint32(r)
-	}
-	b.Uint32s(v)
-}
-
-// decodeRows reads a flat row list, validating every row against the
-// view size.
-func decodeRows(c *artifact.Cursor, n int) ([]int, error) {
-	v := c.Uint32s()
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	if len(v) == 0 {
-		// nil, not an empty slice: the from-scratch builder leaves
-		// never-appended lists nil, and round-trip tests compare deeply.
-		return nil, nil
-	}
-	rows := make([]int, len(v))
-	for i, r := range v {
-		if int(r) >= n {
-			return nil, artifact.Corruptf("index: row %d of %d view rows", r, n)
-		}
-		rows[i] = int(r)
-	}
-	return rows, nil
-}
-
-// DecodeIndex reconstructs the candidate index from an artifact's
-// SecIndex section, bound to the given view (normally the frozen view
-// of the Shared decoded from the same artifact). Returns (nil, nil)
-// when the artifact recorded an absent index.
-func DecodeIndex(r *artifact.Reader, v *View) (*Index, error) {
-	c, ok := r.Section(artifact.SecIndex)
-	if !ok {
-		return nil, artifact.Corruptf("missing index section")
-	}
-	present := c.Uint8()
-	if c.Err() != nil {
-		return nil, c.Err()
-	}
-	if present == 0 {
-		return nil, nil
-	}
-	m := int(c.Uint32())
-	flags := c.Uint8s()
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	if m != v.Arity() || len(flags) != m {
-		return nil, artifact.Corruptf("index: arity %d disagrees with view arity %d", m, v.Arity())
-	}
-	ix := &Index{
-		v:    v,
-		lhs:  make([]bool, m),
-		eq:   make([]map[eqKey][]int, m),
-		numV: make([][]float64, m),
-		numR: make([][]int, m),
-		lens: make([]map[int][]int, m),
-	}
-	n := v.Len()
-	for a := 0; a < m; a++ {
-		if flags[a] == 0 {
-			continue
-		}
-		ix.lhs[a] = true
-		nk := int(c.Uint32())
-		if c.Err() != nil {
-			return nil, c.Err()
-		}
-		if nk < 0 || nk > c.Remaining() {
-			return nil, artifact.Corruptf("index: %d equality keys exceed section", nk)
-		}
-		ix.eq[a] = make(map[eqKey][]int, nk)
-		for k := 0; k < nk; k++ {
-			key := eqKey{cls: c.Uint8(), bits: c.Uint64()}
-			rows, err := decodeRows(c, n)
-			if err != nil {
-				return nil, err
-			}
-			if key.cls > clsBool {
-				return nil, artifact.Corruptf("index: unknown value class %d", key.cls)
-			}
-			if _, dup := ix.eq[a][key]; dup {
-				return nil, artifact.Corruptf("index: duplicate equality key")
-			}
-			ix.eq[a][key] = rows
-		}
-
-		numV := c.Float64s()
-		if len(numV) == 0 {
-			numV = nil
-		}
-		numR, err := decodeRows(c, n)
-		if err != nil {
-			return nil, err
-		}
-		if len(numV) != len(numR) {
-			return nil, artifact.Corruptf("index: numeric columns disagree (%d values, %d rows)", len(numV), len(numR))
-		}
-		for k := 1; k < len(numV); k++ {
-			if numV[k] < numV[k-1] {
-				return nil, artifact.Corruptf("index: numeric column not sorted at %d", k)
-			}
-		}
-		ix.numV[a], ix.numR[a] = numV, numR
-
-		nl := int(c.Uint32())
-		if c.Err() != nil {
-			return nil, c.Err()
-		}
-		if nl < 0 || nl > c.Remaining() {
-			return nil, artifact.Corruptf("index: %d length buckets exceed section", nl)
-		}
-		ix.lens[a] = make(map[int][]int, nl)
-		for k := 0; k < nl; k++ {
-			l := int(c.Uint32())
-			rows, err := decodeRows(c, n)
-			if err != nil {
-				return nil, err
-			}
-			if _, dup := ix.lens[a][l]; dup {
-				return nil, artifact.Corruptf("index: duplicate length bucket %d", l)
-			}
-			ix.lens[a][l] = rows
-		}
-	}
-	if err := c.Err(); err != nil {
-		return nil, err
-	}
-	return ix, nil
 }

@@ -9,26 +9,12 @@ import (
 
 	"repro/internal/artifact"
 	"repro/internal/dataset"
-	"repro/internal/rfd"
 )
 
-// artifactSigma constrains every class of the mixed relation on some
-// LHS: equality and positive thresholds over strings, numerics, and
-// bools, so the index carries all three bucket structures.
-func artifactSigma(t testing.TB) rfd.Set {
-	t.Helper()
-	return rfd.Set{
-		rfd.MustNew([]rfd.Constraint{{Attr: 0, Threshold: 2}, {Attr: 1, Threshold: 0}}, rfd.Constraint{Attr: 2, Threshold: 1}),
-		rfd.MustNew([]rfd.Constraint{{Attr: 2, Threshold: 1.5}, {Attr: 3, Threshold: 0}}, rfd.Constraint{Attr: 0, Threshold: 3}),
-		rfd.MustNew([]rfd.Constraint{{Attr: 4, Threshold: 0}}, rfd.Constraint{Attr: 1, Threshold: 0}),
-	}
-}
-
-// encodeShared assembles a full artifact around one Shared + Index.
-func encodeShared(s *Shared, ix *Index) []byte {
+// encodeShared assembles a full artifact around one Shared.
+func encodeShared(s *Shared) []byte {
 	b := artifact.NewBuilder()
 	s.EncodeTo(b)
-	ix.EncodeTo(b)
 	return b.Finish()
 }
 
@@ -38,8 +24,7 @@ func encodeShared(s *Shared, ix *Index) []byte {
 func TestSharedRoundTrip(t *testing.T) {
 	rel := randomMixedRelation(rand.New(rand.NewSource(11)), 40)
 	s := Precompile(rel)
-	sigma := artifactSigma(t)
-	data := encodeShared(s, NewIndex(s.View(), sigma))
+	data := encodeShared(s)
 
 	r, err := artifact.Decode(data)
 	if err != nil {
@@ -85,80 +70,18 @@ func TestSharedRoundTrip(t *testing.T) {
 		}
 	}
 
-	if !bytes.Equal(data, encodeShared(got, NewIndex(got.View(), sigma))) {
+	if !bytes.Equal(data, encodeShared(got)) {
 		t.Error("re-encoding the decoded state is not byte-identical")
 	}
 }
 
-// TestIndexRoundTrip: the decoded index answers every probe with the
-// same candidate rows as the one built from scratch.
-func TestIndexRoundTrip(t *testing.T) {
-	rel := randomMixedRelation(rand.New(rand.NewSource(23)), 50)
-	s := Precompile(rel)
-	sigma := artifactSigma(t)
-	ix := NewIndex(s.View(), sigma)
-	if ix == nil {
-		t.Fatal("fixture built no index; the round-trip is vacuous")
-	}
-
-	r, err := artifact.Decode(encodeShared(s, ix))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeShared(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gix, err := DecodeIndex(r, got.View())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gix == nil {
-		t.Fatal("index decoded as absent")
-	}
-	if !reflect.DeepEqual(gix.lhs, ix.lhs) || !reflect.DeepEqual(gix.eq, ix.eq) ||
-		!reflect.DeepEqual(gix.numV, ix.numV) || !reflect.DeepEqual(gix.numR, ix.numR) ||
-		!reflect.DeepEqual(gix.lens, ix.lens) {
-		t.Error("decoded index structures diverged")
-	}
-	for row := 0; row < s.Len(); row++ {
-		want, wok := ix.CandidateRows(row, sigma)
-		have, hok := gix.CandidateRows(row, sigma)
-		if wok != hok || !reflect.DeepEqual(want, have) {
-			t.Fatalf("CandidateRows(%d) = (%v, %v) decoded, (%v, %v) compiled", row, have, hok, want, wok)
-		}
-	}
-}
-
-// TestIndexAbsentRoundTrip: a nil index (Σ with no LHS attributes)
-// round-trips as nil.
-func TestIndexAbsentRoundTrip(t *testing.T) {
-	rel := randomMixedRelation(rand.New(rand.NewSource(5)), 10)
-	s := Precompile(rel)
-	r, err := artifact.Decode(encodeShared(s, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeShared(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := DecodeIndex(r, got.View())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix != nil {
-		t.Fatalf("absent index decoded as %v", ix)
-	}
-}
-
 // TestDeterministicSharedEncoding: encoding the same compiled state
-// twice — including the map-backed index buckets — is byte-identical.
+// twice is byte-identical.
 func TestDeterministicSharedEncoding(t *testing.T) {
 	build := func() []byte {
 		rel := randomMixedRelation(rand.New(rand.NewSource(37)), 60)
 		s := Precompile(rel)
-		return encodeShared(s, NewIndex(s.View(), artifactSigma(t)))
+		return encodeShared(s)
 	}
 	if !bytes.Equal(build(), build()) {
 		t.Fatal("two compiles of the same relation encoded differently")

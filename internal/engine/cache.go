@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// numShards bounds lock contention: pairwise lookups from the parallel
-// scan workers hash across independent shards.
+// numShards bounds lock contention: pairwise lookups from discovery
+// workers and concurrent runs hash across independent shards.
 const numShards = 64
 
 // cacheKey identifies one memoized pair: the attribute and the two

@@ -69,9 +69,11 @@ func (ix *Index) eqKeyFor(flat, attr int) (eqKey, bool) {
 	}
 }
 
-// lhsMask returns the attributes Σ constrains on some LHS, or nil when
-// there are none (no index is worth building then).
-func lhsMask(m int, sigma rfd.Set) []bool {
+// NewIndex builds the index over every flat row of the view for the
+// attributes Σ constrains on some LHS. It returns nil when there are
+// none (no index is worth building then).
+func NewIndex(v *View, sigma rfd.Set) *Index {
+	m := v.Arity()
 	lhs := make([]bool, m)
 	any := false
 	for _, dep := range sigma {
@@ -83,24 +85,6 @@ func lhsMask(m int, sigma rfd.Set) []bool {
 	if !any {
 		return nil
 	}
-	return lhs
-}
-
-// NewIndex builds the index over every flat row of the view for the
-// attributes Σ constrains on some LHS. It returns nil when Σ is empty.
-func NewIndex(v *View, sigma rfd.Set) *Index {
-	lhs := lhsMask(v.Arity(), sigma)
-	if lhs == nil {
-		return nil
-	}
-	return newIndexRange(v, lhs, 0, v.Len())
-}
-
-// newIndexRange builds an index over the contiguous flat row range
-// [lo, hi) — the whole view for the monolithic index, one sub-pool band
-// for a ShardedIndex member.
-func newIndexRange(v *View, lhs []bool, lo, hi int) *Index {
-	m := v.Arity()
 	ix := &Index{
 		v:    v,
 		lhs:  lhs,
@@ -120,7 +104,7 @@ func newIndexRange(v *View, lhs []bool, lo, hi int) *Index {
 	// bucket's row list sorted without per-insert shifting; the sorted
 	// numeric columns are sorted once at the end (O(n log n) instead of
 	// the O(n²) memmove of repeated sorted inserts).
-	for flat := lo; flat < hi; flat++ {
+	for flat := 0; flat < v.Len(); flat++ {
 		for a := 0; a < m; a++ {
 			if !lhs[a] {
 				continue
@@ -356,8 +340,6 @@ func (ix *Index) CandidateRows(row int, deps rfd.Set) ([]int, bool) {
 
 // finishCandidates turns raw probe output into the CandidateRows
 // contract: a deduplicated ascending row list excluding the query row.
-// Shared by the monolithic and sharded indexes — both feed it the same
-// row multiset, so both emit the same list.
 func finishCandidates(out []int, row int) []int {
 	if len(out) == 0 {
 		return nil

@@ -11,7 +11,7 @@ import (
 // decode buffers all live in the arena and are reused across calls.
 //
 // A Matcher is NOT safe for concurrent use — the arena is mutable
-// worker state. Each goroutine of a parallel scan creates its own with
+// worker state. Each goroutine that scans a view creates its own with
 // View.Matcher(); the View's own methods remain safe for concurrent
 // reads and borrow pooled arenas instead.
 //

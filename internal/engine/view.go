@@ -9,7 +9,8 @@
 //     so equal interned values short-circuit to distance 0 and the
 //     banded Levenshtein kernel early-exits on length difference;
 //   - a memoized pairwise distance cache keyed on (attr, interned value
-//     pair), sharded for concurrent use from the parallel scans;
+//     pair), sharded for concurrent use from discovery workers and
+//     concurrent runs;
 //   - one Matcher API (Distance / Within / MatchesLHS / Violates /
 //     DistMin / PatternBetween) plus a generalized candidate Index.
 //

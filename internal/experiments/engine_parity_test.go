@@ -10,9 +10,9 @@ import (
 // TestTable4EngineCrossConfigParity guards the evaluation-engine
 // rewiring on the Table 4 workload: RENUVER on the injected Restaurant
 // dataset must impute identically whether candidate search runs through
-// the generalized index, the full sweep, or the parallel scan — the
-// engine layers are pure optimizations, so any divergence here is a
-// correctness bug, not drift.
+// the generalized index or the full sweep — the engine layers are pure
+// optimizations, so any divergence here is a correctness bug, not
+// drift.
 func TestTable4EngineCrossConfigParity(t *testing.T) {
 	env := benchEnv()
 	rel, err := env.Dataset("restaurant")
@@ -32,27 +32,21 @@ func TestTable4EngineCrossConfigParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		variants := map[string][]core.Option{
-			"no-index": {core.WithoutIndex()},
-			"workers":  {core.WithWorkers(4)},
+		res, err := core.New(sigma, core.WithoutIndex()).Impute(injRel)
+		if err != nil {
+			t.Fatalf("rate %.0f%% no-index: %v", rate*100, err)
 		}
-		for name, opts := range variants {
-			res, err := core.New(sigma, opts...).Impute(injRel)
-			if err != nil {
-				t.Fatalf("rate %.0f%% %s: %v", rate*100, name, err)
-			}
-			if !ref.Relation.Equal(res.Relation) {
-				t.Errorf("rate %.0f%% %s: imputed relation diverged", rate*100, name)
-			}
-			if len(ref.Imputations) != len(res.Imputations) {
-				t.Fatalf("rate %.0f%% %s: %d imputations vs %d",
-					rate*100, name, len(res.Imputations), len(ref.Imputations))
-			}
-			for i := range ref.Imputations {
-				if ref.Imputations[i] != res.Imputations[i] {
-					t.Errorf("rate %.0f%% %s: imputation %d differs:\n%+v\n%+v",
-						rate*100, name, i, res.Imputations[i], ref.Imputations[i])
-				}
+		if !ref.Relation.Equal(res.Relation) {
+			t.Errorf("rate %.0f%% no-index: imputed relation diverged", rate*100)
+		}
+		if len(ref.Imputations) != len(res.Imputations) {
+			t.Fatalf("rate %.0f%% no-index: %d imputations vs %d",
+				rate*100, len(res.Imputations), len(ref.Imputations))
+		}
+		for i := range ref.Imputations {
+			if ref.Imputations[i] != res.Imputations[i] {
+				t.Errorf("rate %.0f%% no-index: imputation %d differs:\n%+v\n%+v",
+					rate*100, i, res.Imputations[i], ref.Imputations[i])
 			}
 		}
 	}

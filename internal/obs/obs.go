@@ -111,9 +111,6 @@ const (
 	// pattern-storage bytes: the full slab when unsharded, the largest
 	// shard slab plus the compact store when sharded.
 	CtrDiscoveryPatternPeakBytes
-	// CtrDonorShardFanout counts sub-pool scans fanned out by
-	// scatter-gather donor search (shards per sharded candidate scan).
-	CtrDonorShardFanout
 	// CtrDeltaApplied counts ApplyDelta calls that published a new epoch.
 	CtrDeltaApplied
 	// CtrDeltaRowsInserted counts tuples inserted by applied deltas.
@@ -182,7 +179,6 @@ var counterNames = [...]string{
 	CtrDiscoveryShards:           "discovery_shards",
 	CtrDiscoveryShardSlabBytes:   "discovery_shard_slab_bytes",
 	CtrDiscoveryPatternPeakBytes: "discovery_pattern_peak_bytes",
-	CtrDonorShardFanout:          "donor_shard_fanout",
 
 	CtrDeltaApplied:                "delta_applied",
 	CtrDeltaRowsInserted:           "delta_rows_inserted",
@@ -229,9 +225,6 @@ const (
 	// PhaseDiscoverySearch covers the greedy lattice search and
 	// dominance pruning inside discovery.
 	PhaseDiscoverySearch
-	// PhaseDonorMerge covers merging the per-shard candidate lists of
-	// scatter-gather donor search.
-	PhaseDonorMerge
 	// PhaseDeltaBuild covers cloning the logical relation, applying a
 	// delta's mutations, and evolving the compiled base columns.
 	PhaseDeltaBuild
@@ -253,7 +246,6 @@ var phaseNames = [...]string{
 	PhaseDiscovery:            "discovery",
 	PhaseDiscoveryMaterialize: "discovery_materialize",
 	PhaseDiscoverySearch:      "discovery_search",
-	PhaseDonorMerge:           "donor_merge",
 	PhaseDeltaBuild:           "delta_build",
 	PhaseDeltaRevalidate:      "delta_revalidate",
 	PhaseTotal:                "total",
@@ -354,7 +346,6 @@ var counterHelp = [...]string{
 	CtrDiscoveryShards:           "Accumulated effective shard count across discovery runs.",
 	CtrDiscoveryShardSlabBytes:   "Transient pattern-slab bytes materialized per discovery shard.",
 	CtrDiscoveryPatternPeakBytes: "Accumulated per-run peak pattern-storage bytes during discovery.",
-	CtrDonorShardFanout:          "Sub-pool scans fanned out by scatter-gather donor search.",
 
 	CtrDeltaApplied:                "ApplyDelta calls that published a new epoch.",
 	CtrDeltaRowsInserted:           "Tuples inserted by applied deltas.",
@@ -396,8 +387,8 @@ func (h Hist) Help() string {
 }
 
 // Recorder receives pipeline events. Implementations must be safe for
-// concurrent use: the parallel scan workers and concurrent Impute runs
-// all record into the same instance.
+// concurrent use: discovery workers and concurrent Impute runs all
+// record into the same instance.
 type Recorder interface {
 	// Add increments a counter by delta.
 	Add(c Counter, delta int64)

@@ -318,57 +318,3 @@ func (c *ShardStatsCollector) AppendPrometheus(sb *strings.Builder) {
 func (c *ShardStatsCollector) SnapshotEntry() (string, any) {
 	return c.name + "s", c.fn()
 }
-
-// ---- per-shard scatter-gather donor stats -------------------------------
-
-// DonorShardStat is one donor sub-pool's cumulative scatter-gather
-// counters, as exposed on /metrics: how many sweeps the sub-pool
-// answered, how many donor rows those sweeps examined, and how many
-// candidates they returned into the global merge.
-type DonorShardStat struct {
-	Scans      int64 `json:"scans"`
-	Donors     int64 `json:"donors"`
-	Candidates int64 `json:"candidates"`
-}
-
-// DonorShardStatsCollector exposes a sharded donor pool's scatter-gather
-// counters, labeled by shard index — the skew view: a sub-pool that
-// returns far fewer candidates than its peers is a partition imbalance
-// the summed counters cannot show.
-type DonorShardStatsCollector struct {
-	name string // family prefix, e.g. "donor_shard"
-	fn   func() []DonorShardStat
-}
-
-// NewDonorShardStatsCollector wires a snapshot closure (called per
-// scrape) into the exposition under
-// renuver_<name>_{scans,donors,candidates}_total.
-func NewDonorShardStatsCollector(name string, fn func() []DonorShardStat) *DonorShardStatsCollector {
-	return &DonorShardStatsCollector{name: name, fn: fn}
-}
-
-// AppendPrometheus implements Collector.
-func (c *DonorShardStatsCollector) AppendPrometheus(sb *strings.Builder) {
-	stats := c.fn()
-	families := []struct {
-		suffix string
-		help   string
-		get    func(DonorShardStat) int64
-	}{
-		{"scans_total", "Scatter-gather sweeps answered per donor sub-pool.", func(s DonorShardStat) int64 { return s.Scans }},
-		{"donors_total", "Donor rows examined per sub-pool across scatter-gather sweeps.", func(s DonorShardStat) int64 { return s.Donors }},
-		{"candidates_total", "Candidates returned per sub-pool into the global merge.", func(s DonorShardStat) int64 { return s.Candidates }},
-	}
-	for _, f := range families {
-		name := promName(c.name + "_" + f.suffix)
-		promHeader(sb, name, "counter", f.help)
-		for i, s := range stats {
-			fmt.Fprintf(sb, "%s{shard=\"%d\"} %d\n", name, i, f.get(s))
-		}
-	}
-}
-
-// SnapshotEntry implements Collector: the raw per-shard slice.
-func (c *DonorShardStatsCollector) SnapshotEntry() (string, any) {
-	return c.name + "s", c.fn()
-}

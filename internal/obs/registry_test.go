@@ -19,9 +19,6 @@ func testRegistry() (*Registry, *HistVec) {
 	reg.Register(NewShardStatsCollector("engine_cache_shard", func() []ShardStat {
 		return []ShardStat{{Hits: 10, Misses: 2, Merges: 1}, {Hits: 4, Misses: 1, Merges: 0}}
 	}))
-	reg.Register(NewDonorShardStatsCollector("donor_shard", func() []DonorShardStat {
-		return []DonorShardStat{{Scans: 7, Donors: 420, Candidates: 12}, {Scans: 7, Donors: 419, Candidates: 3}}
-	}))
 	return reg, vec
 }
 

@@ -79,9 +79,11 @@ func (sc SpanContext) Traceparent() string {
 }
 
 // ParseTraceparent parses a W3C traceparent header value
-// ("00-<32 hex>-<16 hex>-<2 hex>"). It returns ok=false on malformed
-// input, unknown lengths, or the all-zero ids the spec forbids; callers
-// then mint a fresh trace instead of propagating garbage.
+// ("00-<32 hex>-<16 hex>-<2 hex>", lower-case hex only, as the spec's
+// HEXDIGLC grammar requires). It returns ok=false on malformed input,
+// unknown lengths, or the all-zero ids the spec forbids; callers then
+// mint a fresh trace instead of propagating garbage. Sampled is bit 0
+// of the trace-flags byte; the other flag bits parse and are dropped.
 func ParseTraceparent(s string) (SpanContext, bool) {
 	var sc SpanContext
 	// version "00" plus three dash-separated fields: 2+1+32+1+16+1+2.
@@ -91,21 +93,28 @@ func ParseTraceparent(s string) (SpanContext, bool) {
 	if s[0] != '0' || s[1] != '0' { // only version 00 is understood
 		return sc, false
 	}
-	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
+	var flags [1]byte
+	if !decodeLowerHex(sc.TraceID[:], s[3:35]) || !decodeLowerHex(sc.SpanID[:], s[36:52]) ||
+		!decodeLowerHex(flags[:], s[53:55]) {
 		return sc, false
 	}
-	if _, err := hex.Decode(sc.SpanID[:], []byte(s[36:52])); err != nil {
-		return sc, false
-	}
-	flags := s[53:55]
-	if !isHexByte(flags[0]) || !isHexByte(flags[1]) {
-		return sc, false
-	}
-	sc.Sampled = flags == "01"
+	sc.Sampled = flags[0]&1 == 1
 	if !sc.IsValid() {
 		return sc, false
 	}
 	return sc, true
+}
+
+// decodeLowerHex decodes src, which must be exactly 2*len(dst)
+// lower-case hex digits, into dst.
+func decodeLowerHex(dst []byte, src string) bool {
+	for _, b := range []byte(src) {
+		if !isHexByte(b) {
+			return false
+		}
+	}
+	_, err := hex.Decode(dst, []byte(src))
+	return err == nil
 }
 
 func isHexByte(b byte) bool {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -43,6 +44,9 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", // zero span id
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0Z", // non-hex flags
 		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", // wrong separator
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01", // upper-case trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00F067AA0BA902B7-01", // upper-case span id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0A", // upper-case flags
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {
@@ -58,11 +62,59 @@ func TestParseTraceparentRejects(t *testing.T) {
 		sc.SpanID.String() != "00f067aa0ba902b7" || !sc.Sampled {
 		t.Fatalf("parsed wrong fields: %+v", sc)
 	}
-	// Flags other than 01 mean unsampled but still parse.
-	sc, ok = ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00")
-	if !ok || sc.Sampled {
-		t.Fatalf("flags 00 should parse unsampled: ok=%v %+v", ok, sc)
+	// Sampled is trace-flags bit 0; the other bits parse and are dropped.
+	for flags, sampled := range map[string]bool{"00": false, "01": true, "02": false, "03": true, "ff": true} {
+		sc, ok = ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-" + flags)
+		if !ok || sc.Sampled != sampled {
+			t.Errorf("flags %s: ok=%v sampled=%v, want ok sampled=%v", flags, ok, sc.Sampled, sampled)
+		}
 	}
+}
+
+// FuzzParseTraceparent: the parser never panics, and every input it
+// accepts is a well-formed version-00 header — 55 bytes, lower-case hex
+// fields, non-zero ids — whose Sampled flag is bit 0 of its flags byte
+// and whose context survives a render-and-parse round trip.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-03",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sc, ok := ParseTraceparent(s)
+		if !ok {
+			return
+		}
+		if len(s) != 55 || s[:3] != "00-" || s[35] != '-' || s[52] != '-' {
+			t.Fatalf("accepted %q: not a 55-byte version-00 header", s)
+		}
+		for _, field := range []string{s[3:35], s[36:52], s[53:55]} {
+			if strings.Trim(field, "0123456789abcdef") != "" {
+				t.Fatalf("accepted %q: field %q is not lower-case hex", s, field)
+			}
+		}
+		if !sc.IsValid() {
+			t.Fatalf("accepted %q with a zero id: %+v", s, sc)
+		}
+		flags, err := strconv.ParseUint(s[53:55], 16, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Sampled != (flags&1 == 1) {
+			t.Fatalf("%q: Sampled = %v, flags byte %#02x", s, sc.Sampled, flags)
+		}
+		again, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || again != sc {
+			t.Fatalf("%q: round trip gave (%+v, %v), want %+v", s, again, ok, sc)
+		}
+	})
 }
 
 func TestTraceRemoteParentLinks(t *testing.T) {

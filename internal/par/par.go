@@ -1,11 +1,11 @@
 // Package par is the single home for the repo's parallelism-knob
-// validation rule and for the range split every parallel scan shares. Imputation options, discovery config, and the CLI
-// flags of cmd/renuver and cmd/rfdiscover all carry some subset of
-// {Workers, Shards, DonorShards}; before this package each surface
-// re-implemented the same bounds with slightly different wording. The
-// rule is uniform:
+// validation rule and for the range split every parallel scan shares.
+// The discovery config and the CLI flags of cmd/renuver and
+// cmd/rfdiscover carry {Workers, Shards}; before this package each
+// surface re-implemented the same bounds with slightly different
+// wording. The rule is uniform:
 //
-//   - 0 means the documented default (all CPUs, unsharded, single pool);
+//   - 0 means the documented default (all CPUs, unsharded);
 //   - negative values are invalid — rejected at construction or flag
 //     parse, never clamped mid-run;
 //   - values above Max are invalid — a parallelism degree beyond 1024 is
@@ -15,13 +15,13 @@ package par
 
 import "fmt"
 
-// Max bounds every parallelism-shaped knob in the repo (workers,
-// discovery shards, donor shards).
+// Max bounds every parallelism-shaped knob in the repo (discovery
+// workers and shards).
 const Max = 1024
 
 // Check enforces the shared rule for one knob. name appears verbatim in
 // the error, so callers pass their own surface's spelling ("-workers"
-// at flag parse, "core: Workers" from Options.Validate).
+// at flag parse, "discovery: Workers" from the config check).
 func Check(name string, v int) error {
 	if v < 0 {
 		return fmt.Errorf("%s must be >= 0, got %d", name, v)
@@ -32,22 +32,16 @@ func Check(name string, v int) error {
 	return nil
 }
 
-// Parallelism bundles the three parallelism knobs every layer of the
-// stack understands. The zero value means "all defaults" and is always
-// valid.
+// Parallelism bundles the two discovery parallelism knobs. The zero
+// value means "all defaults" and is always valid.
 type Parallelism struct {
-	// Workers is the number of goroutines for tuple scans and discovery
-	// search (0 = all CPUs, 1 = serial). Output is bit-identical for any
-	// value.
+	// Workers is the number of goroutines for discovery search (0 = all
+	// CPUs, 1 = serial). Output is bit-identical for any value.
 	Workers int
 	// Shards splits discovery pattern materialization into contiguous
 	// bands bounding peak memory (0 = unsharded). Output is identical
 	// for any value.
 	Shards int
-	// DonorShards splits the imputation donor pool into independent
-	// sub-pools for scatter-gather candidate search (0 or 1 = single
-	// pool). Output is byte-identical for any value.
-	DonorShards int
 }
 
 // Validate applies Check to each knob, naming the offending field.
@@ -55,10 +49,7 @@ func (p Parallelism) Validate() error {
 	if err := Check("Workers", p.Workers); err != nil {
 		return err
 	}
-	if err := Check("Shards", p.Shards); err != nil {
-		return err
-	}
-	return Check("DonorShards", p.DonorShards)
+	return Check("Shards", p.Shards)
 }
 
 // Chunks splits [0, n) into at most workers contiguous ranges of equal

@@ -29,8 +29,8 @@ func TestParallelismValidate(t *testing.T) {
 	if err := (Parallelism{}).Validate(); err != nil {
 		t.Errorf("zero value invalid: %v", err)
 	}
-	if err := (Parallelism{Workers: 4, Shards: 8, DonorShards: 2}).Validate(); err != nil {
-		t.Errorf("valid triple rejected: %v", err)
+	if err := (Parallelism{Workers: 4, Shards: 8}).Validate(); err != nil {
+		t.Errorf("valid pair rejected: %v", err)
 	}
 	cases := []struct {
 		p    Parallelism
@@ -38,7 +38,7 @@ func TestParallelismValidate(t *testing.T) {
 	}{
 		{Parallelism{Workers: -1}, "Workers"},
 		{Parallelism{Shards: Max + 1}, "Shards"},
-		{Parallelism{DonorShards: -2}, "DonorShards"},
+		{Parallelism{Shards: -2}, "Shards"},
 	}
 	for _, c := range cases {
 		err := c.p.Validate()

@@ -209,8 +209,6 @@ var (
 	WithoutRanking         = core.WithoutRanking
 	WithoutKeyReevaluation = core.WithoutKeyReevaluation
 	WithMaxCandidates      = core.WithMaxCandidates
-	WithWorkers            = core.WithWorkers
-	WithDonorShards        = core.WithDonorShards
 	WithRecorder           = core.WithRecorder
 	WithTracer             = core.WithTracer
 )
@@ -316,9 +314,6 @@ type (
 	// CacheShardStat is the engine-side form of ShardStat, returned by
 	// Session.CacheShardStats.
 	CacheShardStat = engine.CacheShardStat
-	// DonorShardStat is one donor sub-pool's scatter-gather counters,
-	// returned by Session.DonorShardStats and exposed on /metrics.
-	DonorShardStat = obs.DonorShardStat
 )
 
 // NewMetricsRegistry wraps a MetricsRecorder (nil = a fresh one).
@@ -345,13 +340,6 @@ func NewFuncGauge(name, help string, fn func() float64) *obs.FuncGauge {
 // labeled by shard index, under renuver_<name>_{hits,misses,merges}_total.
 func NewShardStatsCollector(name string, fn func() []ShardStat) *obs.ShardStatsCollector {
 	return obs.NewShardStatsCollector(name, fn)
-}
-
-// NewDonorShardStatsCollector exposes a sharded donor pool's per-sub-pool
-// scatter-gather counters, labeled by shard index, under
-// renuver_<name>_{scans,donors,candidates}_total.
-func NewDonorShardStatsCollector(name string, fn func() []DonorShardStat) *obs.DonorShardStatsCollector {
-	return obs.NewDonorShardStatsCollector(name, fn)
 }
 
 // ActiveKernelName names the Levenshtein kernel currently selected
@@ -473,12 +461,11 @@ type (
 	DeltaResult = core.DeltaResult
 )
 
-// Parallelism bundles the three independent parallelism knobs the
-// pipeline exposes — scan workers (WithWorkers / DiscoveryOptions.
-// Workers), discovery shards (DiscoveryOptions.Shards), and donor-pool
-// sub-pools (WithDonorShards) — under one validation rule: 0 means
-// default, negatives and values above the shared bound are rejected.
-// Both CLIs and the option validators all delegate to this one rule.
+// Parallelism bundles the two discovery parallelism knobs —
+// DiscoveryOptions.Workers and DiscoveryOptions.Shards — under one
+// validation rule: 0 means default, negatives and values above the
+// shared bound are rejected. Both CLIs and the option validators all
+// delegate to this one rule.
 type Parallelism = par.Parallelism
 
 // CheckParallelism validates one parallelism knob value (0 = default),
