@@ -8,7 +8,7 @@ GO ?= go
 # against.
 BENCHTMP := .bench-tmp
 
-.PHONY: check fmt vet vet-ctx build test kernels race bench bench-dist bench-shard bench-json bench-check bench-update golden smoke artifact-roundtrip perfbench-test
+.PHONY: check fmt vet vet-ctx build test kernels race bench bench-dist bench-json bench-check bench-update golden smoke artifact-roundtrip perfbench-test
 
 check: fmt vet vet-ctx build kernels test artifact-roundtrip perfbench-test bench-check
 
@@ -56,16 +56,10 @@ bench:
 bench-dist:
 	$(GO) test -bench 'BenchmarkKernels|BenchmarkWithinPrefilter' -benchmem -run=^$$ ./internal/distance/
 
-# Sharded-discovery microbenchmarks: the bounded-memory partition
-# pipeline across shard counts (1 = legacy flat slab), with allocation
-# counts. The peak-memory acceptance bound itself is asserted by the
-# env-gated TestBenchShardJSON emitter in bench-json.
-bench-shard:
-	$(GO) test -bench BenchmarkDiscoverSharded -benchmem -run=^$$ ./internal/discovery/
-
-# Measure the six benchmark JSON documents (core, engine, session,
-# delta, discovery, shard) into $(BENCHTMP) via the env-gated
-# TestBench*JSON emitters.
+# Measure the five benchmark JSON documents (core, engine, session,
+# delta, discovery) into $(BENCHTMP) via the env-gated TestBench*JSON
+# emitters. The discovery emitter also asserts the peak pattern-memory
+# bound.
 bench-json:
 	@mkdir -p $(BENCHTMP)
 	BENCH_OUT=$(abspath $(BENCHTMP))/BENCH_core.json $(GO) test -run TestBenchJSON -count=1 ./internal/core/
@@ -73,7 +67,6 @@ bench-json:
 	BENCH_SESSION_OUT=$(abspath $(BENCHTMP))/BENCH_session.json $(GO) test -run TestBenchSessionJSON -count=1 ./internal/core/
 	BENCH_DELTA_OUT=$(abspath $(BENCHTMP))/BENCH_delta.json $(GO) test -run TestBenchDeltaJSON -count=1 ./internal/core/
 	BENCH_DISCOVERY_OUT=$(abspath $(BENCHTMP))/BENCH_discovery.json $(GO) test -run TestBenchDiscoveryJSON -count=1 ./internal/discovery/
-	BENCH_SHARD_OUT=$(abspath $(BENCHTMP))/BENCH_shard.json $(GO) test -run TestBenchShardJSON -count=1 ./internal/discovery/
 
 # The perf-regression gate: fresh measurements against the committed
 # baselines. Wall clock gets a wide band (noisy hosts); allocation
@@ -84,15 +77,14 @@ bench-check: bench-json
 	  BENCH_engine.json $(BENCHTMP)/BENCH_engine.json \
 	  BENCH_session.json $(BENCHTMP)/BENCH_session.json \
 	  BENCH_delta.json $(BENCHTMP)/BENCH_delta.json \
-	  BENCH_discovery.json $(BENCHTMP)/BENCH_discovery.json \
-	  BENCH_shard.json $(BENCHTMP)/BENCH_shard.json
+	  BENCH_discovery.json $(BENCHTMP)/BENCH_discovery.json
 
 # Bless the current figures as the new committed baselines after an
 # intentional performance change; diff the result before committing.
 bench-update: bench-json
 	cp $(BENCHTMP)/BENCH_core.json $(BENCHTMP)/BENCH_engine.json \
 	   $(BENCHTMP)/BENCH_session.json $(BENCHTMP)/BENCH_delta.json \
-	   $(BENCHTMP)/BENCH_discovery.json $(BENCHTMP)/BENCH_shard.json .
+	   $(BENCHTMP)/BENCH_discovery.json .
 
 # Artifact-layer gate: deterministic encoding (double-compile is
 # byte-identical, the committed golden checksum still matches), full

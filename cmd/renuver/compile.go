@@ -26,8 +26,6 @@ func runCompile(args []string) error {
 		rfds      = fs.String("rfds", "", "RFDc set file; discovered from the base when omitted")
 		threshold = fs.Float64("threshold", 15, "discovery threshold limit when -rfds is omitted")
 		maxLHS    = fs.Int("maxlhs", 2, "discovery LHS size limit when -rfds is omitted")
-		workers   = fs.Int("workers", 0, "parallel discovery workers (0 = all CPUs; output identical)")
-		shards    = fs.Int("shards", 0, "discovery pattern shards (0 = unsharded; output identical for any value)")
 		saveRFDs  = fs.String("save-rfds", "", "also write the (discovered) RFDc set to this file")
 		logJSON   = fs.Bool("log-json", false, "emit progress logs as JSON lines")
 	)
@@ -37,12 +35,6 @@ func runCompile(args []string) error {
 	if *in == "" || *out == "" {
 		fs.Usage()
 		return fmt.Errorf("compile: -in and -out are required")
-	}
-	if err := validateParallelism("-workers", *workers); err != nil {
-		return fmt.Errorf("compile: %w", err)
-	}
-	if err := validateParallelism("-shards", *shards); err != nil {
-		return fmt.Errorf("compile: %w", err)
 	}
 	logger := newLogger(*logJSON)
 
@@ -66,8 +58,7 @@ func runCompile(args []string) error {
 		logger.Info("loaded RFDcs", "count", len(sigma), "path", *rfds)
 	} else {
 		sigma, err = sess.Discover(context.Background(), renuver.DiscoveryOptions{
-			MaxThreshold: *threshold, MaxLHS: *maxLHS, Workers: *workers,
-			Shards: *shards,
+			MaxThreshold: *threshold, MaxLHS: *maxLHS,
 		})
 		if err != nil {
 			return err

@@ -122,8 +122,8 @@ func TestCompileFlagValidation(t *testing.T) {
 		t.Error("missing -in accepted")
 	}
 	if err := runCompile([]string{
-		"-in", basePath, "-out", filepath.Join(dir, "x.rnv"), "-workers", "-1",
+		"-in", basePath, "-out", filepath.Join(dir, "x.rnv"), "-threshold", "NaN",
 	}); err == nil {
-		t.Error("negative -workers accepted")
+		t.Error("NaN -threshold accepted")
 	}
 }

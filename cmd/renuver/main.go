@@ -99,21 +99,11 @@ func main() {
 	flag.BoolVar(&cfg.report, "report", false, "print per-cell imputation provenance to stderr")
 	flag.BoolVar(&cfg.stats, "stats", false, "print run counters and per-phase wall clock as JSON to stderr")
 	flag.StringVar(&cfg.saveRFDs, "save-rfds", "", "write the (discovered) RFDc set to this file")
-	flag.IntVar(&cfg.workers, "workers", 0, "parallel discovery workers (0 = all CPUs; output identical)")
-	flag.IntVar(&cfg.shards, "shards", 0, "discovery pattern shards (0 = unsharded; output identical for any value)")
 	flag.StringVar(&cfg.donors, "donors", "", "comma-separated reference CSVs for the multi-dataset extension")
 	flag.BoolVar(&logJSON, "log-json", false, "emit progress logs as JSON lines")
 	flag.Parse()
 	if cfg.in == "" {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if err := validateParallelism("-workers", cfg.workers); err != nil {
-		fmt.Fprintln(os.Stderr, "renuver:", err)
-		os.Exit(2)
-	}
-	if err := validateParallelism("-shards", cfg.shards); err != nil {
-		fmt.Fprintln(os.Stderr, "renuver:", err)
 		os.Exit(2)
 	}
 	cfg.logger = newLogger(logJSON)
@@ -160,8 +150,6 @@ type runConfig struct {
 	verify    string
 	report    bool
 	stats     bool
-	workers   int
-	shards    int
 	donors    string
 	logger    *slog.Logger
 }
@@ -177,8 +165,7 @@ func prepareSigma(cfg *runConfig, rel *renuver.Relation) (renuver.RFDSet, error)
 		return sigma, nil
 	}
 	sigma, err := renuver.DiscoverRFDs(rel, renuver.DiscoveryOptions{
-		MaxThreshold: cfg.threshold, MaxLHS: cfg.maxLHS, Workers: cfg.workers,
-		Shards: cfg.shards,
+		MaxThreshold: cfg.threshold, MaxLHS: cfg.maxLHS,
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"log/slog"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -46,11 +48,11 @@ func quietLogger() *slog.Logger {
 
 // testRun adapts the old positional signature to runConfig.
 func testRun(in, out, rfds, saveRFDs string, threshold float64, maxLHS int,
-	order, verify string, report, stats bool, workers int, donors string) error {
+	order, verify string, report, stats bool, donors string) error {
 	return run(runConfig{
 		in: in, out: out, rfds: rfds, saveRFDs: saveRFDs,
 		threshold: threshold, maxLHS: maxLHS, order: order, verify: verify,
-		report: report, stats: stats, workers: workers, donors: donors,
+		report: report, stats: stats, donors: donors,
 		logger: quietLogger(),
 	})
 }
@@ -59,7 +61,7 @@ func TestRunWithProvidedRFDs(t *testing.T) {
 	in := writeTemp(t, "dirty.csv", dirtyCSV)
 	rfds := writeTemp(t, "sigma.rfd", sigmaFile)
 	out := filepath.Join(t.TempDir(), "clean.csv")
-	if err := testRun(in, out, rfds, "", 15, 2, "asc", "lhs", false, false, 0, ""); err != nil {
+	if err := testRun(in, out, rfds, "", 15, 2, "asc", "lhs", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := renuver.LoadCSVFile(out)
@@ -79,7 +81,7 @@ func TestRunWithDiscovery(t *testing.T) {
 	in := writeTemp(t, "dirty.csv", dirtyCSV)
 	out := filepath.Join(t.TempDir(), "clean.csv")
 	saved := filepath.Join(t.TempDir(), "sigma.rfd")
-	if err := testRun(in, out, "", saved, 9, 2, "asc", "both", true, false, 2, ""); err != nil {
+	if err := testRun(in, out, "", saved, 9, 2, "asc", "both", true, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(out); err != nil {
@@ -97,16 +99,16 @@ func TestRunWithDiscovery(t *testing.T) {
 func TestRunBadFlags(t *testing.T) {
 	in := writeTemp(t, "dirty.csv", dirtyCSV)
 	rfds := writeTemp(t, "sigma.rfd", sigmaFile)
-	if err := testRun(in, "", rfds, "", 15, 2, "sideways", "lhs", false, false, 0, ""); err == nil {
+	if err := testRun(in, "", rfds, "", 15, 2, "sideways", "lhs", false, false, ""); err == nil {
 		t.Error("bad -order accepted")
 	}
-	if err := testRun(in, "", rfds, "", 15, 2, "asc", "maybe", false, false, 0, ""); err == nil {
+	if err := testRun(in, "", rfds, "", 15, 2, "asc", "maybe", false, false, ""); err == nil {
 		t.Error("bad -verify accepted")
 	}
-	if err := testRun(filepath.Join(t.TempDir(), "missing.csv"), "", "", "", 15, 2, "asc", "lhs", false, false, 0, ""); err == nil {
+	if err := testRun(filepath.Join(t.TempDir(), "missing.csv"), "", "", "", 15, 2, "asc", "lhs", false, false, ""); err == nil {
 		t.Error("missing input accepted")
 	}
-	if err := testRun(in, "", filepath.Join(t.TempDir(), "missing.rfd"), "", 15, 2, "asc", "lhs", false, false, 0, ""); err == nil {
+	if err := testRun(in, "", filepath.Join(t.TempDir(), "missing.rfd"), "", 15, 2, "asc", "lhs", false, false, ""); err == nil {
 		t.Error("missing RFD file accepted")
 	}
 }
@@ -118,7 +120,7 @@ func TestRunJSONLinesInAndOut(t *testing.T) {
 `)
 	rfdsFile := writeTemp(t, "sigma.rfd", "A(<=0) -> B(<=0)\n")
 	out := filepath.Join(t.TempDir(), "clean.jsonl")
-	if err := testRun(in, out, rfdsFile, "", 15, 2, "asc", "lhs", false, false, 0, ""); err != nil {
+	if err := testRun(in, out, rfdsFile, "", 15, 2, "asc", "lhs", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := renuver.LoadJSONLinesFile(out)
@@ -140,7 +142,7 @@ func TestRunWithDonorPool(t *testing.T) {
 	donor := writeTemp(t, "donor.csv", "A,B\nx,v1\n")
 	rfds := writeTemp(t, "sigma.rfd", "A(<=0) -> B(<=0)\n")
 	out := filepath.Join(t.TempDir(), "clean.csv")
-	if err := testRun(in, out, rfds, "", 15, 2, "asc", "lhs", false, false, 0, donor); err != nil {
+	if err := testRun(in, out, rfds, "", 15, 2, "asc", "lhs", false, false, donor); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := renuver.LoadCSVFile(out)
@@ -151,7 +153,7 @@ func TestRunWithDonorPool(t *testing.T) {
 		t.Errorf("B = %q, want v1 from the donor file", got)
 	}
 	// A bad donor path must fail loudly.
-	if err := testRun(in, "", rfds, "", 15, 2, "asc", "lhs", false, false, 0, "/nonexistent.csv"); err == nil {
+	if err := testRun(in, "", rfds, "", 15, 2, "asc", "lhs", false, false, "/nonexistent.csv"); err == nil {
 		t.Error("missing donor file accepted")
 	}
 }
@@ -160,7 +162,7 @@ func TestRunDescOrderAndOffVerify(t *testing.T) {
 	in := writeTemp(t, "dirty.csv", dirtyCSV)
 	rfds := writeTemp(t, "sigma.rfd", sigmaFile)
 	out := filepath.Join(t.TempDir(), "clean.csv")
-	if err := testRun(in, out, rfds, "", 15, 2, "desc", "off", false, false, 0, ""); err != nil {
+	if err := testRun(in, out, rfds, "", 15, 2, "desc", "off", false, false, ""); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := renuver.LoadCSVFile(out)
@@ -169,5 +171,35 @@ func TestRunDescOrderAndOffVerify(t *testing.T) {
 	}
 	if rel.Len() != 7 {
 		t.Errorf("rows = %d", rel.Len())
+	}
+}
+
+// TestInfiniteThresholdExits runs `renuver -in dirty.csv -threshold Inf`
+// as a child process (this test binary, re-entering main) and expects a
+// non-zero exit with the discovery error: an infinite limit has no
+// finite default β grid to build.
+func TestInfiniteThresholdExits(t *testing.T) {
+	if in := os.Getenv("RENUVER_TEST_MAIN_IN"); in != "" {
+		os.Args = []string{"renuver", "-in", in, "-threshold", "Inf"}
+		main()
+		return
+	}
+	sh, err := exec.LookPath("sh")
+	if err != nil {
+		t.Skip("no sh to cap the child's address space")
+	}
+	in := writeTemp(t, "dirty.csv", dirtyCSV)
+	// The address-space cap turns a regression (a β grid that never
+	// stops growing) into a failed child instead of an exhausted host.
+	cmd := exec.Command(sh, "-c", `ulimit -v 4000000 && exec "$@"`, "sh",
+		os.Args[0], "-test.run=^TestInfiniteThresholdExits$")
+	cmd.Env = append(os.Environ(), "RENUVER_TEST_MAIN_IN="+in)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("renuver -threshold Inf: err %v, want a non-zero exit\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "MaxThreshold must be finite") {
+		t.Errorf("renuver -threshold Inf output lacks the discovery error:\n%s", out)
 	}
 }

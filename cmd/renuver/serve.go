@@ -76,8 +76,6 @@ func runServe(args []string) error {
 		maxLHS       = fs.Int("maxlhs", 2, "discovery LHS size limit when -rfds is omitted")
 		order        = fs.String("order", "asc", "RHS-threshold cluster order: asc or desc")
 		verify       = fs.String("verify", "lhs", "IS_FAULTLESS scope: lhs, both, off")
-		workers      = fs.Int("workers", 0, "parallel discovery workers (0 = all CPUs; output identical)")
-		shards       = fs.Int("shards", 0, "discovery pattern shards (0 = unsharded; output identical for any value)")
 		traceSample  = fs.Int("trace-sample", 0, "trace every Nth cell's imputation decisions (0 = tracing off, 1 = every cell)")
 		traceCells   = fs.Int("trace-cells", 0, "cell traces retained in the ring (0 = default 256)")
 		poolSize     = fs.Int("pool-size", 0, "concurrent imputation runs (0 = number of CPUs)")
@@ -106,12 +104,6 @@ func runServe(args []string) error {
 		if v < 0 {
 			return fmt.Errorf("serve: %s must be >= 0, got %d", name, v)
 		}
-	}
-	if err := validateParallelism("-workers", *workers); err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := validateParallelism("-shards", *shards); err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	if *reqTimeout < 0 || *drainTimeout < 0 {
 		return fmt.Errorf("serve: timeouts must be >= 0")
@@ -163,8 +155,7 @@ func runServe(args []string) error {
 			sigma, err = renuver.LoadRFDsFile(*rfds, base.Schema())
 		} else {
 			sigma, err = sess.Discover(context.Background(), renuver.DiscoveryOptions{
-				MaxThreshold: *threshold, MaxLHS: *maxLHS, Workers: *workers,
-				Shards: *shards, Recorder: metrics,
+				MaxThreshold: *threshold, MaxLHS: *maxLHS, Recorder: metrics,
 			})
 		}
 		if err != nil {
@@ -214,15 +205,6 @@ func runServe(args []string) error {
 		logger.Info("drained, exiting")
 		return nil
 	}
-}
-
-// validateParallelism enforces the CLI rule for parallelism-shaped
-// flags: 0 means the documented default, negatives and absurdly large
-// values (nobody runs 10k workers on one box) are rejected before any
-// work starts. It is the shared renuver.CheckParallelism rule, so the
-// flags and discovery enforce one bound.
-func validateParallelism(name string, v int) error {
-	return renuver.CheckParallelism(name, v)
 }
 
 // imputerOptions translates the shared CLI flags into imputer options,

@@ -691,18 +691,3 @@ func TestImputerOptionsValidation(t *testing.T) {
 		t.Fatalf("opts = %d, want 2", len(opts))
 	}
 }
-
-func TestValidateParallelism(t *testing.T) {
-	if err := validateParallelism("-shards", 0); err != nil {
-		t.Fatalf("zero rejected: %v", err)
-	}
-	if err := validateParallelism("-shards", renuver.MaxParallelism); err != nil {
-		t.Fatalf("boundary value rejected: %v", err)
-	}
-	if err := validateParallelism("-workers", -3); err == nil {
-		t.Fatal("negative accepted")
-	}
-	if err := validateParallelism("-shards", renuver.MaxParallelism+1); err == nil {
-		t.Fatal("absurd value accepted")
-	}
-}

@@ -4,8 +4,7 @@
 // Usage:
 //
 //	rfdiscover -in data.csv [-threshold 15] [-maxlhs 2] [-out sigma.rfd]
-//	           [-max-pairs 0] [-keep-dominated] [-adaptive 0.25] [-workers 0]
-//	           [-shards 0]
+//	           [-max-pairs 0] [-keep-dominated] [-adaptive 0.25]
 //
 // With -adaptive q, per-attribute threshold caps are derived from the
 // q-quantile of each attribute's distance distribution (the paper's
@@ -30,17 +29,6 @@ type options struct {
 	keepDominated bool
 	minSupport    int
 	adaptive      float64
-	workers       int
-	shards        int
-}
-
-// validateParallelism enforces the CLI rule for parallelism-shaped
-// flags: 0 means the documented default, negatives and absurdly large
-// values are rejected before any work starts. It is the shared
-// renuver.CheckParallelism rule, so this CLI, the renuver CLI, and the
-// library option validators all enforce one bound.
-func validateParallelism(name string, v int) error {
-	return renuver.CheckParallelism(name, v)
 }
 
 func main() {
@@ -54,19 +42,9 @@ func main() {
 	flag.BoolVar(&opts.keepDominated, "keep-dominated", false, "keep dependencies implied by more general ones")
 	flag.IntVar(&opts.minSupport, "min-support", 1, "minimum satisfying pairs per dependency")
 	flag.Float64Var(&opts.adaptive, "adaptive", 0, "quantile for per-attribute adaptive threshold caps (0 = off)")
-	flag.IntVar(&opts.workers, "workers", 0, "discovery worker goroutines (0 = all CPUs, 1 = serial); output is identical either way")
-	flag.IntVar(&opts.shards, "shards", 0, "pattern materialization shards bounding peak memory (0 = unsharded; output identical for any value)")
 	flag.Parse()
 	if opts.in == "" {
 		flag.Usage()
-		os.Exit(2)
-	}
-	if err := validateParallelism("-workers", opts.workers); err != nil {
-		fmt.Fprintln(os.Stderr, "rfdiscover:", err)
-		os.Exit(2)
-	}
-	if err := validateParallelism("-shards", opts.shards); err != nil {
-		fmt.Fprintln(os.Stderr, "rfdiscover:", err)
 		os.Exit(2)
 	}
 	if err := run(opts, os.Stdout); err != nil {
@@ -87,11 +65,9 @@ func run(opts options, stdout io.Writer) error {
 		Seed:          opts.seed,
 		KeepDominated: opts.keepDominated,
 		MinSupport:    opts.minSupport,
-		Workers:       opts.workers,
-		Shards:        opts.shards,
 	}
 	if opts.adaptive > 0 {
-		cfg.AttrLimits = renuver.AdaptiveThresholdLimitsWorkers(rel, opts.adaptive, opts.maxPairs, opts.seed, opts.workers)
+		cfg.AttrLimits = renuver.AdaptiveThresholdLimits(rel, opts.adaptive, opts.maxPairs, opts.seed)
 	}
 	sigma, err := renuver.DiscoverRFDs(rel, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/distance"
 	"repro/internal/engine"
-	"repro/internal/par"
+	"repro/internal/obs"
 )
 
 // AdaptiveAttrLimits is the paper's threshold-bounding extension (Sec. 7:
@@ -26,24 +27,20 @@ import (
 // mode the paper observed on Glass ("the RFDc threshold values do not
 // capture the correlation among data").
 func AdaptiveAttrLimits(rel *dataset.Relation, quantile float64, maxPairs int, seed int64) []float64 {
-	return AdaptiveAttrLimitsWorkers(rel, quantile, maxPairs, seed, 1)
+	return adaptiveAttrLimits(rel, quantile, maxPairs, seed, runtime.GOMAXPROCS(0), bandPairs)
 }
 
-// AdaptiveAttrLimitsWorkers is AdaptiveAttrLimits with the exhaustive
-// pair scan chunked across workers (0 means runtime.NumCPU()). The
-// per-attribute distance multiset is identical however it is collected
-// and gets sorted before the quantile is read, so the caps are
-// worker-count independent. The sampled path (maxPairs set) keeps its
-// single rng sequence and stays serial.
-func AdaptiveAttrLimitsWorkers(rel *dataset.Relation, quantile float64, maxPairs int, seed int64, workers int) []float64 {
+// adaptiveAttrLimits is AdaptiveAttrLimits with discover's two pipeline
+// parameters. The exhaustive scan reads the pattern store discovery
+// builds, so its per-attribute distance multiset — sorted before the
+// quantile is read — does not depend on either. The sampled path
+// (maxPairs set) keeps its single rng sequence and stays serial.
+func adaptiveAttrLimits(rel *dataset.Relation, quantile float64, maxPairs int, seed int64, workers, band int) []float64 {
 	if quantile <= 0 {
 		quantile = 0.25
 	}
 	if quantile > 1 {
 		quantile = 1
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
 	}
 	m := rel.Schema().Len()
 	n := rel.Len()
@@ -53,50 +50,28 @@ func AdaptiveAttrLimitsWorkers(rel *dataset.Relation, quantile float64, maxPairs
 	}
 
 	v := engine.Compile(rel)
-	recordInto := func(em *engine.Matcher, samples [][]float64, i, j int) {
-		for a := 0; a < m; a++ {
-			d := em.Distance(a, i, j)
-			if !distance.IsMissing(d) && d > 0 {
-				samples[a] = append(samples[a], d)
-			}
+	samples := make([][]float64, m)
+	keep := func(a int, d float64) {
+		if !distance.IsMissing(d) && d > 0 {
+			samples[a] = append(samples[a], d)
 		}
 	}
-
-	var samples [][]float64
-	total := n * (n - 1) / 2
-	if maxPairs <= 0 || maxPairs >= total {
-		// Chunk the flat pair-index range; each worker collects into its
-		// own sample set, merged in chunk order below.
-		ranges := par.Chunks(total, workers)
-		parts := make([][][]float64, len(ranges))
-		runChunks(workers, total, func(ci, lo, hi int) {
-			em := v.Matcher() // per-chunk kernel arena
-			local := make([][]float64, m)
-			i, j := pairAt(n, lo)
-			for k := lo; k < hi; k++ {
-				recordInto(em, local, i, j)
-				j++
-				if j == n {
-					i++
-					j = i + 1
-				}
-			}
-			parts[ci] = local
-		})
-		samples = make([][]float64, m)
-		for _, local := range parts {
-			for a := 0; a < m; a++ {
-				samples[a] = append(samples[a], local[a]...)
+	if total := n * (n - 1) / 2; maxPairs <= 0 || maxPairs >= total {
+		st := materialize(context.Background(), v, nil, workers, band, obs.Nop{})
+		for a := 0; a < m; a++ {
+			for k := 0; k < st.n; k++ {
+				keep(a, st.at(k, a))
 			}
 		}
 	} else {
-		samples = make([][]float64, m)
 		em := v.Matcher()
 		rng := rand.New(rand.NewSource(seed))
 		for k := 0; k < maxPairs; k++ {
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i != j {
-				recordInto(em, samples, i, j)
+				for a := 0; a < m; a++ {
+					keep(a, em.Distance(a, i, j))
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 // benchStringsRelation replicates Table 2 into a larger deterministic
@@ -56,90 +59,99 @@ func benchNumericRelation(tb testing.TB, n int) *dataset.Relation {
 	return rel
 }
 
-// benchConfig is the shared discovery configuration of the benchmarks:
-// the Table 3 mid-grid threshold with the default MaxLHS of 2.
-func benchConfig(workers int) Config {
-	return Config{MaxThreshold: 6, Workers: workers}
+// benchDiscover is one benchmarked discovery: the public pipeline
+// (compile plus discover) pinned to one worker, so allocs/op do not
+// depend on the host's CPU count.
+func benchDiscover(tb testing.TB, rel *dataset.Relation, rec obs.Recorder) {
+	cfg := Config{MaxThreshold: 6, Recorder: rec}
+	if _, err := discover(context.Background(), engine.Compile(rel), cfg, 1, bandPairs); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// benchWorkload is one workload shape of the discovery benchmarks.
+type benchWorkload struct {
+	name string
+	rel  *dataset.Relation
+}
+
+func benchWorkloads(tb testing.TB) []benchWorkload {
+	return []benchWorkload{
+		{"strings", benchStringsRelation(tb, 24)},  // 120 tuples, 7140 pairs
+		{"numeric", benchNumericRelation(tb, 160)}, // 160 tuples, 12720 pairs
+	}
 }
 
 // BenchmarkDiscover measures end-to-end discovery on the two workload
-// shapes at worker counts 1/2/4/8 (1 is the serial path). The output is
-// byte-identical across worker counts, so the benchmark isolates pure
-// pipeline cost.
+// shapes at one worker (the row names keep their historical
+// workers=1 suffix).
 func BenchmarkDiscover(b *testing.B) {
-	workloads := []struct {
-		name string
-		rel  *dataset.Relation
-	}{
-		{"strings", benchStringsRelation(b, 24)},  // 120 tuples, 7140 pairs
-		{"numeric", benchNumericRelation(b, 160)}, // 160 tuples, 12720 pairs
-	}
-	for _, wl := range workloads {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", wl.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Discover(wl.rel, benchConfig(workers)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+	for _, wl := range benchWorkloads(b) {
+		b.Run(wl.name+"/workers=1", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchDiscover(b, wl.rel, nil)
+			}
+		})
 	}
 }
 
 // benchRecord is one benchmark's figures as serialized to
-// BENCH_DISCOVERY_OUT (the shape BENCH_core.json uses).
+// BENCH_DISCOVERY_OUT (the shape BENCH_core.json uses), plus the
+// deterministic peak pattern footprint where it is gated. benchdiff
+// gates the ns/alloc figures and ignores the extra key.
 type benchRecord struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	Name             string  `json:"name"`
+	Iterations       int     `json:"iterations"`
+	NsPerOp          float64 `json:"ns_per_op"`
+	AllocsPerOp      int64   `json:"allocs_per_op"`
+	BytesPerOp       int64   `json:"bytes_per_op"`
+	PatternPeakBytes int64   `json:"pattern_peak_bytes,omitempty"`
 }
 
 // TestBenchDiscoveryJSON emits the discovery benchmark figures (both
-// workloads, workers 1/2/4/8) plus the host's CPU budget as JSON — the
+// workloads at one worker) plus the host's CPU budget as JSON — the
 // BENCH_discovery.json regression record:
 //
 //	BENCH_DISCOVERY_OUT=BENCH_discovery.json go test ./internal/discovery -run TestBenchDiscoveryJSON
 //
 // Without BENCH_DISCOVERY_OUT the test is skipped, so the suite stays
-// fast. GOMAXPROCS is recorded because wall-clock speedup from workers
-// can only materialize when the host exposes more than one CPU; the
-// allocs/op reductions are host-independent.
+// fast. The strings row also carries the recorded peak pattern bytes,
+// asserted to be at most half of the float64 matrix that fixture's
+// patterns would fill.
 func TestBenchDiscoveryJSON(t *testing.T) {
 	out := os.Getenv("BENCH_DISCOVERY_OUT")
 	if out == "" {
 		t.Skip("set BENCH_DISCOVERY_OUT=<file> to emit benchmark JSON")
 	}
 
-	workloads := []struct {
-		name string
-		rel  *dataset.Relation
-	}{
-		{"strings", benchStringsRelation(t, 24)},
-		{"numeric", benchNumericRelation(t, 160)},
-	}
 	var records []benchRecord
-	for _, wl := range workloads {
-		for _, workers := range []int{1, 2, 4, 8} {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := Discover(wl.rel, benchConfig(workers)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			records = append(records, benchRecord{
-				Name:        fmt.Sprintf("Discover/%s/workers=%d", wl.name, workers),
-				Iterations:  r.N,
-				NsPerOp:     float64(r.NsPerOp()),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			})
+	for _, wl := range benchWorkloads(t) {
+		r := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchDiscover(b, wl.rel, nil)
+			}
+		})
+		rec := benchRecord{
+			Name:        "Discover/" + wl.name + "/workers=1",
+			Iterations:  r.N,
+			NsPerOp:     float64(r.NsPerOp()),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
 		}
+		if wl.name == "strings" {
+			m := obs.NewMetrics()
+			benchDiscover(t, wl.rel, m)
+			rec.PatternPeakBytes = m.Counter(obs.CtrDiscoveryPatternPeakBytes)
+			n := wl.rel.Len()
+			matrix := int64(n*(n-1)/2) * int64(wl.rel.Schema().Len()) * 8
+			if rec.PatternPeakBytes <= 0 || rec.PatternPeakBytes*2 > matrix {
+				t.Errorf("%s peak %d pattern bytes, want in (0, %d], half of the %d-byte matrix",
+					rec.Name, rec.PatternPeakBytes, matrix/2, matrix)
+			}
+		}
+		records = append(records, rec)
 	}
 
 	doc, err := json.MarshalIndent(struct {

@@ -17,13 +17,13 @@
 //  3. Candidates that end up vacuous (key-like: no sampled pair satisfies
 //     the LHS) or dominated by a more general discovered RFDc are pruned.
 //
-// Both expensive steps run on a worker pool (Config.Workers) with a
+// Both expensive steps run on runtime.GOMAXPROCS(0) workers with a
 // deterministic merge, so the discovered set is byte-identical for every
-// worker count: pattern materialization writes pre-sized slab rows in
-// place (ordering is positional, not merge-dependent), and the
-// per-(RHS, β, LHS subset) candidate derivations fan out over an
+// GOMAXPROCS: pattern materialization writes fixed-size bands of pairs
+// in place and folds each into a lossless compact store (patterns.go),
+// and the per-(RHS, β, LHS subset) candidate derivations fan out over an
 // explicitly ordered job list whose results are collected by job index
-// before the per-RHS dominance pruning runs. See parallel.go.
+// before the per-RHS dominance pruning runs (parallel.go).
 package discovery
 
 import (
@@ -38,19 +38,19 @@ import (
 	"repro/internal/distance"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rfd"
 )
 
 // Config tunes discovery.
 type Config struct {
 	// MaxThreshold is the threshold limit: no discovered constraint (LHS
-	// or RHS) exceeds it. The paper sweeps {3, 6, 9, 12, 15}.
+	// or RHS) exceeds it. It must be finite and non-negative. The paper
+	// sweeps {3, 6, 9, 12, 15}.
 	MaxThreshold float64
 	// MaxLHS bounds the LHS attribute-set size. Zero means 2.
 	MaxLHS int
-	// RHSGrid lists the candidate RHS thresholds. Empty means the
-	// integers 0..MaxThreshold.
+	// RHSGrid lists the candidate RHS thresholds, in any order (discovery
+	// sorts its own copy). Empty means the integers 0..MaxThreshold.
 	RHSGrid []float64
 	// MaxPairs caps how many tuple pairs are sampled for pattern
 	// materialization. Zero means all pairs. Sampling keeps discovery
@@ -70,23 +70,8 @@ type Config struct {
 	// and RHS), on top of MaxThreshold. Produce distribution-aware caps
 	// with AdaptiveAttrLimits — the paper's Sec. 7 threshold-bounding
 	// extension. Nil means MaxThreshold everywhere; otherwise the slice
-	// must cover every attribute.
+	// must hold exactly one cap per attribute.
 	AttrLimits []float64
-	// Workers sets the number of goroutines used for pattern-space
-	// materialization and the per-candidate lattice search. 0 means
-	// runtime.NumCPU(); 1 forces the serial path. The discovered set is
-	// byte-identical for every worker count.
-	Workers int
-	// Shards splits pattern materialization into that many contiguous
-	// pair bands, each filled into one reused transient slab and folded
-	// into a lossless compact column store before the next band starts,
-	// bounding peak pattern memory to one band's slab plus the compact
-	// store. The lattice search itself stays global — the greedy fold is
-	// not confluent across pattern partitions — and reads patterns
-	// through a value-exact accessor, so the discovered set is
-	// byte-identical for every shard count. 0 or 1 means the unsharded
-	// flat slab (the historical path).
-	Shards int
 	// Recorder receives discovery observability events (patterns
 	// materialized, RFDcs emitted, discovery wall clock). Nil means
 	// no-op.
@@ -107,8 +92,8 @@ func (c *Config) limitFor(attr int) float64 {
 }
 
 func (c *Config) normalize() error {
-	if c.MaxThreshold < 0 {
-		return fmt.Errorf("discovery: negative MaxThreshold %v", c.MaxThreshold)
+	if c.MaxThreshold < 0 || math.IsNaN(c.MaxThreshold) || math.IsInf(c.MaxThreshold, 0) {
+		return fmt.Errorf("discovery: MaxThreshold must be finite and non-negative, got %v", c.MaxThreshold)
 	}
 	if c.MaxLHS == 0 {
 		c.MaxLHS = 2
@@ -116,16 +101,12 @@ func (c *Config) normalize() error {
 	if c.MaxLHS < 0 {
 		return fmt.Errorf("discovery: negative MaxLHS %d", c.MaxLHS)
 	}
-	if err := par.Check("discovery: Workers", c.Workers); err != nil {
-		return err
-	}
-	if err := par.Check("discovery: Shards", c.Shards); err != nil {
-		return err
-	}
 	if len(c.RHSGrid) == 0 {
 		for b := 0.0; b <= c.MaxThreshold; b++ {
 			c.RHSGrid = append(c.RHSGrid, b)
 		}
+	} else {
+		c.RHSGrid = append([]float64(nil), c.RHSGrid...)
 	}
 	sort.Float64s(c.RHSGrid)
 	if c.MinSupport == 0 {
@@ -134,25 +115,9 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// effectiveWorkers resolves the Workers field: 0 means all CPUs.
-func (c *Config) effectiveWorkers() int {
-	if c.Workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return c.Workers
-}
-
-// effectiveShards resolves the Shards field: 0 means unsharded.
-func (c *Config) effectiveShards() int {
-	if c.Shards <= 0 {
-		return 1
-	}
-	return c.Shards
-}
-
 // Discover returns the RFDcs found on the instance under the config.
 // The result is deterministic for a fixed (instance, config, seed),
-// independent of the worker count.
+// independent of GOMAXPROCS.
 func Discover(rel *dataset.Relation, cfg Config) (rfd.Set, error) {
 	return DiscoverView(engine.Compile(rel), cfg)
 }
@@ -178,8 +143,20 @@ func DiscoverView(v *engine.View, cfg Config) (rfd.Set, error) {
 // DiscoverViewContext is DiscoverView with cooperative cancellation,
 // under the DiscoverContext contract.
 func DiscoverViewContext(ctx context.Context, v *engine.View, cfg Config) (rfd.Set, error) {
+	return discover(ctx, v, cfg, runtime.GOMAXPROCS(0), bandPairs)
+}
+
+// discover is the one discovery pipeline: workers goroutines
+// materialize the pairs band pairs at a time into the compact store,
+// and the global lattice search reads only that store. Neither
+// parameter changes the result; the in-package tests vary both.
+func discover(ctx context.Context, v *engine.View, cfg Config, workers, band int) (rfd.Set, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
+	}
+	m := v.Arity()
+	if cfg.AttrLimits != nil && len(cfg.AttrLimits) != m {
+		return nil, fmt.Errorf("discovery: AttrLimits has %d caps for %d attributes", len(cfg.AttrLimits), m)
 	}
 	if ctx.Err() != nil {
 		return nil, engine.Canceled(ctx)
@@ -189,25 +166,19 @@ func DiscoverViewContext(ctx context.Context, v *engine.View, cfg Config) (rfd.S
 		rec = obs.Nop{}
 	}
 	start := obs.Now(rec)
-	m := v.Arity()
 	if m < 2 || v.Len() < 2 {
 		return nil, nil
 	}
-	workers := cfg.effectiveWorkers()
-	shards := cfg.effectiveShards()
 	rec.Add(obs.CtrDiscoveryWorkers, int64(workers))
-	rec.Add(obs.CtrDiscoveryShards, int64(shards))
 	sp := obs.SpanFromContext(ctx)
 
 	matStart := obs.Now(rec)
 	matSpan := sp.Child("discovery_materialize")
-	var st *patStore
-	if shards > 1 {
-		st = shardedPatterns(ctx, v, &cfg, shards, workers, rec)
-	} else {
-		st = flatStore(samplePatterns(ctx, v, cfg.MaxPairs, cfg.Seed, workers, rec), m)
-		rec.Add(obs.CtrDiscoveryShardSlabBytes, st.peakBytes)
+	var pairs [][2]int
+	if n := v.Len(); cfg.MaxPairs > 0 && cfg.MaxPairs < n*(n-1)/2 {
+		pairs = samplePairs(n, cfg.MaxPairs, cfg.Seed)
 	}
+	st := materialize(ctx, v, pairs, workers, band, rec)
 	npat := 0
 	if st != nil {
 		npat = st.n
@@ -215,12 +186,11 @@ func DiscoverViewContext(ctx context.Context, v *engine.View, cfg Config) (rfd.S
 	if matSpan.Enabled() {
 		matSpan.Int("patterns", int64(npat))
 		matSpan.Int("workers", int64(workers))
-		matSpan.Int("shards", int64(shards))
 		matSpan.End()
 	}
 	obs.Since(rec, obs.PhaseDiscoveryMaterialize, matStart)
 	if ctx.Err() != nil {
-		// The slab may hold unmaterialized rows; never derive from it.
+		// A band may hold unmaterialized rows; never derive from it.
 		return nil, engine.Canceled(ctx)
 	}
 	if npat == 0 {
@@ -270,27 +240,12 @@ func emitRuleProvenance(t obs.Tracer, schema *dataset.Schema, st *patStore, out 
 	}
 }
 
-// samplePatterns materializes distance patterns for up to maxPairs tuple
-// pairs through the engine view, so repeated value pairs (the common
-// case on real instances with skewed domains) hit the memoized distance
-// cache instead of re-running Levenshtein. With maxPairs == 0 or enough
-// room, all n(n-1)/2 pairs are used; otherwise a uniform sample without
-// replacement is drawn. Pair selection is always serial (one rng
-// sequence), so the sampled pair list — and hence the pattern order —
-// is independent of the worker count; only the materialization of the
-// selected pairs is chunked across workers.
-func samplePatterns(ctx context.Context, v *engine.View, maxPairs int, seed int64, workers int, rec obs.Recorder) []distance.Pattern {
-	n := v.Len()
-	total := n * (n - 1) / 2
-	if maxPairs > 0 && maxPairs < total {
-		return materializePairs(ctx, v, samplePairs(n, maxPairs, seed), workers, rec)
-	}
-	return materializeAllPairs(ctx, v, workers, rec)
-}
-
 // samplePairs draws maxPairs distinct (i, j) pairs without replacement,
 // i < j, in rng draw order — exactly the sequence the serial sampler
-// has always produced for a given seed.
+// has always produced for a given seed. Pair selection is serial (one
+// rng sequence), so the sampled list — and hence the pattern order — is
+// independent of the worker count; only its materialization is
+// chunked.
 func samplePairs(n, maxPairs int, seed int64) [][2]int {
 	rng := rand.New(rand.NewSource(seed))
 	seen := make(map[[2]int]bool, maxPairs)

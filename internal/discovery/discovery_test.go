@@ -1,6 +1,9 @@
 package discovery
 
 import (
+	"bytes"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -253,6 +256,48 @@ func TestDiscoveryEdgeCases(t *testing.T) {
 	}
 	if _, err := Discover(one, Config{MaxThreshold: 1, MaxLHS: -2}); err == nil {
 		t.Error("negative MaxLHS accepted")
+	}
+}
+
+// TestDiscoveryRejectsBadLimits: limits that would crash discovery or
+// make it silently do nothing are errors, and the caller's RHSGrid is
+// left as it was passed. +Inf is checked only by cmd/renuver's
+// TestInfiniteThresholdExits, whose child runs under an address-space
+// cap: were the check lost, its β grid would grow until memory runs out.
+func TestDiscoveryRejectsBadLimits(t *testing.T) {
+	rel := table2(t)
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"threshold-neg-inf", Config{MaxThreshold: math.Inf(-1)}, "MaxThreshold"},
+		{"threshold-nan", Config{MaxThreshold: math.NaN()}, "MaxThreshold"},
+		{"threshold-negative", Config{MaxThreshold: -1}, "MaxThreshold"},
+		{"attr-limits-short", Config{MaxThreshold: 3, AttrLimits: []float64{1}}, "AttrLimits"},
+		{"attr-limits-long", Config{MaxThreshold: 3, AttrLimits: make([]float64, 6)}, "AttrLimits"},
+	}
+	for _, c := range cases {
+		sigma, err := Discover(rel, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %d rules, err %v; want an error naming %s", c.name, len(sigma), err, c.want)
+		}
+	}
+
+	grid := []float64{3, 0, 2, 1}
+	got, err := Discover(rel, Config{MaxThreshold: 3, RHSGrid: grid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grid[0] != 3 || grid[1] != 0 || grid[2] != 2 || grid[3] != 1 {
+		t.Errorf("Discover reordered the caller's RHSGrid to %v", grid)
+	}
+	want, err := Discover(rel, Config{MaxThreshold: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := encodeSet(t, got, rel.Schema()), encodeSet(t, want, rel.Schema()); !bytes.Equal(g, w) {
+		t.Errorf("unsorted RHSGrid discovered\n%s\nwant the default grid's\n%s", g, w)
 	}
 }
 

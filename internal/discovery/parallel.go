@@ -6,44 +6,39 @@ import (
 	"sync"
 
 	"repro/internal/distance"
-	"repro/internal/engine"
-	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rfd"
 )
 
-// runChunks splits [0, n) across the workers and runs fn once per
-// chunk, inline when only one chunk results (the serial path spawns no
-// goroutines). It returns the number of chunks. fn receives the chunk
-// index so callers can keep per-worker state without sharing.
+// runChunks splits [0, n) into at most workers contiguous ranges of
+// equal size (the last may be shorter) and runs fn once per range, in
+// its own goroutine, or inline when only one range results (the serial
+// path spawns no goroutines). It returns the number of ranges: none for
+// n = 0, one for workers < 1. fn receives the range's index, below
+// workers, so callers can keep per-worker state without sharing; every
+// chunked scan writes its results by position, which is what keeps its
+// output independent of the worker count.
 func runChunks(workers, n int, fn func(chunk, lo, hi int)) int {
-	ranges := par.Chunks(n, workers)
-	if len(ranges) == 1 {
-		fn(0, ranges[0][0], ranges[0][1])
+	if n <= 0 {
+		return 0
+	}
+	w := max(1, min(workers, n))
+	size := (n + w - 1) / w
+	if size == n {
+		fn(0, 0, n)
 		return 1
 	}
 	var wg sync.WaitGroup
-	for ci, rg := range ranges {
+	chunk := 0
+	for lo := 0; lo < n; lo += size {
 		wg.Add(1)
-		go func(ci, lo, hi int) {
+		go func(chunk, lo, hi int) {
 			defer wg.Done()
-			fn(ci, lo, hi)
-		}(ci, rg[0], rg[1])
+			fn(chunk, lo, hi)
+		}(chunk, lo, min(lo+size, n))
+		chunk++
 	}
 	wg.Wait()
-	return len(ranges)
-}
-
-// patternSlab pre-sizes count patterns of arity m over one flat backing
-// array: a single allocation instead of one per pair, and positional
-// writes so concurrent fillers never contend or reorder.
-func patternSlab(count, m int) []distance.Pattern {
-	flat := make([]float64, count*m)
-	out := make([]distance.Pattern, count)
-	for k := range out {
-		out[k] = distance.Pattern(flat[k*m : (k+1)*m : (k+1)*m])
-	}
-	return out
+	return chunk
 }
 
 // pairAt decodes a flat pair index k into the (i, j) tuple pair, i < j,
@@ -60,53 +55,6 @@ func pairAt(n, k int) (int, int) {
 		rowStart += rowLen
 		i++
 	}
-}
-
-// materializeAllPairs fills the full n(n-1)/2 pattern space, chunking
-// the flat pair-index range across the workers. Row order is positional
-// (identical to the serial double loop), and the sharded engine cache
-// makes the concurrent distance reads safe. Workers check the context
-// every engine.CheckEvery pairs; the caller must discard the slab when
-// the context expired mid-fill.
-func materializeAllPairs(ctx context.Context, v *engine.View, workers int, rec obs.Recorder) []distance.Pattern {
-	n := v.Len()
-	total := n * (n - 1) / 2
-	out := patternSlab(total, v.Arity())
-	chunks := runChunks(workers, total, func(_, lo, hi int) {
-		m := v.Matcher() // per-chunk kernel arena
-		i, j := pairAt(n, lo)
-		for k := lo; k < hi; k++ {
-			if (k-lo)%engine.CheckEvery == 0 && ctx.Err() != nil {
-				return
-			}
-			m.PatternInto(out[k], i, j)
-			j++
-			if j == n {
-				i++
-				j = i + 1
-			}
-		}
-	})
-	rec.Add(obs.CtrDiscoveryPatternChunks, int64(chunks))
-	return out
-}
-
-// materializePairs fills patterns for an explicit pair list (the sampled
-// path), chunked across the workers with positional writes, under the
-// same cancellation contract as materializeAllPairs.
-func materializePairs(ctx context.Context, v *engine.View, pairs [][2]int, workers int, rec obs.Recorder) []distance.Pattern {
-	out := patternSlab(len(pairs), v.Arity())
-	chunks := runChunks(workers, len(pairs), func(_, lo, hi int) {
-		m := v.Matcher() // per-chunk kernel arena
-		for k := lo; k < hi; k++ {
-			if (k-lo)%engine.CheckEvery == 0 && ctx.Err() != nil {
-				return
-			}
-			m.PatternInto(out[k], pairs[k][0], pairs[k][1])
-		}
-	})
-	rec.Add(obs.CtrDiscoveryPatternChunks, int64(chunks))
-	return out
 }
 
 // searchJob is one independent derivation unit: a (RHS attribute, LHS
@@ -196,17 +144,24 @@ func searchCandidates(ctx context.Context, st *patStore, cfg *Config, m, workers
 // by descending RHS distance (missing components cannot witness a
 // violation). sort.Slice on the same input yields the same permutation
 // every run, so the order — and the greedy pass that consumes it — is
-// deterministic.
+// deterministic. The comparison reads the column in its own encoding,
+// which orders present values exactly as their decoded float64 does.
 func rhsOrder(st *patStore, rhs int) []int {
+	c := &st.cols[rhs]
 	order := make([]int, 0, st.n)
 	for idx := 0; idx < st.n; idx++ {
-		if !distance.IsMissing(st.at(idx, rhs)) {
+		if !distance.IsMissing(c.get(idx)) {
 			order = append(order, idx)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return st.at(order[a], rhs) > st.at(order[b], rhs)
-	})
+	switch c.enc {
+	case encU8:
+		sort.Slice(order, func(a, b int) bool { return c.u8[order[a]] > c.u8[order[b]] })
+	case encF32:
+		sort.Slice(order, func(a, b int) bool { return c.f32[order[a]] > c.f32[order[b]] })
+	default:
+		sort.Slice(order, func(a, b int) bool { return c.f64[order[a]] > c.f64[order[b]] })
+	}
 	return order
 }
 

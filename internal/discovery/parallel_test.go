@@ -2,7 +2,10 @@ package discovery
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,8 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rfd"
 )
-
-var parityWorkerCounts = []int{1, 2, 4, 8}
 
 // table4Relation is the Table 4 stress workload: the synthetic
 // Restaurant integration with its near-duplicate structure, at a size
@@ -47,82 +48,172 @@ func ruleEvents(tr *obs.RingTracer) []obs.TraceEvent {
 	return out
 }
 
-// TestDiscoverWorkerParity: the discovered set (textual codec) and the
-// rule_emitted trace stream are byte-identical for every worker count,
-// on both the Table 2 sample and the Table 4 Restaurant workload.
+// parityWorkers x parityBands is the grid of the pipeline's two
+// parameters that the determinism tests walk: bands of one pair, of
+// seven (so worker chunks and bands end mid-row), of bandPairs, and one
+// band covering every pair. A band is the shard of the pair list that
+// is materialized and encoded before the next one starts.
+var (
+	parityWorkers = []int{1, 2, 4}
+	parityBands   = []int{1, 7, bandPairs, math.MaxInt32}
+)
+
+// parityRun is one discovery's byte-level identity: the set through the
+// textual codec and its rule_emitted stream.
+type parityRun struct {
+	set    []byte
+	events []obs.TraceEvent
+}
+
+// tracedRun runs one discovery with a fresh tracer set in cfg and
+// captures its identity.
+func tracedRun(t *testing.T, rel *dataset.Relation, cfg Config, run func(Config) (rfd.Set, error)) parityRun {
+	t.Helper()
+	tr := obs.NewRingTracer(0, 1)
+	cfg.Tracer = tr
+	sigma, err := run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sigma) == 0 {
+		t.Fatal("discovered nothing")
+	}
+	return parityRun{encodeSet(t, sigma, rel.Schema()), ruleEvents(tr)}
+}
+
+// assertSameRun fails unless got is byte-identical to ref.
+func assertSameRun(t *testing.T, label string, got, ref parityRun) {
+	t.Helper()
+	if !bytes.Equal(got.set, ref.set) {
+		t.Errorf("%s set differs from the reference:\n%s\nvs\n%s", label, got.set, ref.set)
+	}
+	if len(got.events) != len(ref.events) {
+		t.Fatalf("%s emitted %d rule events, want %d", label, len(got.events), len(ref.events))
+	}
+	for i, ev := range got.events {
+		r := ref.events[i]
+		if ev.Kind != r.Kind || ev.Attr != r.Attr || ev.N != r.N ||
+			ev.Threshold != r.Threshold || ev.Rules[0] != r.Rules[0] {
+			t.Errorf("%s rule event %d = %+v, want %+v", label, i, ev, r)
+		}
+	}
+}
+
+// assertGridParity: every cell of the workers x band-size grid of the
+// unexported entry point gives the set and rule_emitted stream of the
+// cell workers=1 band=1. Each cell compiles its own view, so no cell
+// reads a distance cache another one warmed.
+func assertGridParity(t *testing.T, rel *dataset.Relation, cfg Config) {
+	t.Helper()
+	var ref parityRun
+	for _, workers := range parityWorkers {
+		for _, band := range parityBands {
+			got := tracedRun(t, rel, cfg, func(c Config) (rfd.Set, error) {
+				return discover(context.Background(), engine.Compile(rel), c, workers, band)
+			})
+			if ref.set == nil {
+				ref = got
+				continue
+			}
+			assertSameRun(t, fmt.Sprintf("workers=%d band=%d", workers, band), got, ref)
+		}
+	}
+}
+
+// assertProcsParity: public Discover, which sizes its pipeline by
+// GOMAXPROCS, runs that many workers and gives the same set and
+// rule_emitted stream at every GOMAXPROCS in parityWorkers. It changes
+// the process-wide setting and restores it, so no caller is parallel.
+func assertProcsParity(t *testing.T, rel *dataset.Relation, cfg Config) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref parityRun
+	for _, procs := range parityWorkers {
+		runtime.GOMAXPROCS(procs)
+		m := obs.NewMetrics()
+		got := tracedRun(t, rel, cfg, func(c Config) (rfd.Set, error) {
+			c.Recorder = m
+			return Discover(rel, c)
+		})
+		if w := m.Counter(obs.CtrDiscoveryWorkers); w != int64(procs) {
+			t.Errorf("GOMAXPROCS=%d ran %d workers", procs, w)
+		}
+		if ref.set == nil {
+			ref = got
+			continue
+		}
+		assertSameRun(t, fmt.Sprintf("GOMAXPROCS=%d", procs), got, ref)
+	}
+}
+
+// parityWorkload is one row of the determinism tables.
+type parityWorkload struct {
+	name string
+	rel  *dataset.Relation
+	cfg  Config
+}
+
+// TestDiscoverWorkerParity: public Discover gives the same set and
+// rule_emitted stream at GOMAXPROCS 1, 2 and 4, on Table 2 under three
+// configs and on the Table 4 Restaurant workload. Not parallel.
 func TestDiscoverWorkerParity(t *testing.T) {
-	workloads := []struct {
-		name string
-		rel  *dataset.Relation
-		cfg  Config
-	}{
+	for _, wl := range []parityWorkload{
 		{"table2", table2(t), Config{MaxThreshold: 6}},
 		{"table2-maxlhs3", table2(t), Config{MaxThreshold: 9, MaxLHS: 3}},
 		{"table2-keep-dominated", table2(t), Config{MaxThreshold: 6, KeepDominated: true}},
 		{"table4", table4Relation(t), Config{MaxThreshold: 6}},
-	}
-	for _, wl := range workloads {
-		t.Run(wl.name, func(t *testing.T) {
-			var refSet []byte
-			var refEvents []obs.TraceEvent
-			for _, workers := range parityWorkerCounts {
-				cfg := wl.cfg
-				cfg.Workers = workers
-				tr := obs.NewRingTracer(0, 1)
-				cfg.Tracer = tr
-				sigma, err := Discover(wl.rel, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(sigma) == 0 {
-					t.Fatalf("workers=%d discovered nothing", workers)
-				}
-				enc := encodeSet(t, sigma, wl.rel.Schema())
-				events := ruleEvents(tr)
-				if workers == parityWorkerCounts[0] {
-					refSet, refEvents = enc, events
-					continue
-				}
-				if !bytes.Equal(enc, refSet) {
-					t.Errorf("workers=%d set differs from workers=%d:\n%s\nvs\n%s",
-						workers, parityWorkerCounts[0], enc, refSet)
-				}
-				if len(events) != len(refEvents) {
-					t.Fatalf("workers=%d emitted %d rule events, want %d",
-						workers, len(events), len(refEvents))
-				}
-				for i, ev := range events {
-					ref := refEvents[i]
-					if ev.Kind != ref.Kind || ev.Attr != ref.Attr || ev.N != ref.N ||
-						ev.Threshold != ref.Threshold || ev.Rules[0] != ref.Rules[0] {
-						t.Errorf("workers=%d rule event %d = %+v, want %+v", workers, i, ev, ref)
-					}
-				}
-			}
-		})
+	} {
+		t.Run(wl.name, func(t *testing.T) { assertProcsParity(t, wl.rel, wl.cfg) })
 	}
 }
 
 // TestDiscoverSampledParity: with MaxPairs forcing the sampled path,
-// pair selection stays a single rng sequence, so the discovered set is
-// worker-count independent for a fixed seed.
+// pair selection stays a single rng sequence, so public Discover gives
+// the same set at every GOMAXPROCS for a fixed seed. Not parallel.
 func TestDiscoverSampledParity(t *testing.T) {
+	assertProcsParity(t, table4Relation(t), Config{MaxThreshold: 6, MaxPairs: 500, Seed: 7})
+}
+
+// TestDiscoverShardParity: the discovered set (textual codec) and the
+// rule_emitted trace stream are byte-identical in every cell of the
+// workers x band-size grid of the unexported entry point, on Table 2
+// and on the Table 4 Restaurant workload.
+func TestDiscoverShardParity(t *testing.T) {
+	for _, wl := range []parityWorkload{
+		{"table2", table2(t), Config{MaxThreshold: 6}},
+		{"table2-maxlhs3", table2(t), Config{MaxThreshold: 9, MaxLHS: 3}},
+		{"table2-keep-dominated", table2(t), Config{MaxThreshold: 6, KeepDominated: true}},
+		{"table4", table4Relation(t), Config{MaxThreshold: 6}},
+		{"table4-maxlhs3", table4Relation(t), Config{MaxThreshold: 9, MaxLHS: 3}},
+	} {
+		t.Run(wl.name, func(t *testing.T) { assertGridParity(t, wl.rel, wl.cfg) })
+	}
+}
+
+// TestDiscoverShardSampledParity: with MaxPairs set, the pipeline bands
+// the sampler's pair list, so the grid is byte-identical on the sampled
+// path too.
+func TestDiscoverShardSampledParity(t *testing.T) {
+	assertGridParity(t, table4Relation(t), Config{MaxThreshold: 6, MaxPairs: 500, Seed: 7})
+}
+
+// TestAdaptiveLimitsWorkerParity: the per-attribute caps are the ones
+// public AdaptiveAttrLimits returns in every cell of the workers x
+// band-size grid, exhaustive and sampled.
+func TestAdaptiveLimitsWorkerParity(t *testing.T) {
 	rel := table4Relation(t)
-	var ref []byte
-	for _, workers := range parityWorkerCounts {
-		sigma, err := Discover(rel, Config{
-			MaxThreshold: 6, MaxPairs: 500, Seed: 7, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := encodeSet(t, sigma, rel.Schema())
-		if workers == parityWorkerCounts[0] {
-			ref = enc
-			continue
-		}
-		if !bytes.Equal(enc, ref) {
-			t.Errorf("sampled discovery differs at workers=%d", workers)
+	for _, maxPairs := range []int{0, 400} {
+		ref := AdaptiveAttrLimits(rel, 0.25, maxPairs, 3)
+		for _, workers := range parityWorkers {
+			for _, band := range parityBands {
+				got := adaptiveAttrLimits(rel, 0.25, maxPairs, 3, workers, band)
+				for a := range ref {
+					if got[a] != ref[a] {
+						t.Errorf("maxPairs=%d workers=%d band=%d attr %d cap %v, want %v",
+							maxPairs, workers, band, a, got[a], ref[a])
+					}
+				}
+			}
 		}
 	}
 }
@@ -132,7 +223,7 @@ func TestDiscoverSampledParity(t *testing.T) {
 // same set as a private view. Run under -race via `make race`.
 func TestDiscoverViewSharedCache(t *testing.T) {
 	rel := table4Relation(t)
-	want, err := Discover(rel, Config{MaxThreshold: 6, Workers: 1})
+	want, err := Discover(rel, Config{MaxThreshold: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +239,7 @@ func TestDiscoverViewSharedCache(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			// Alternate worker counts so parallel searches overlap on the
-			// shared cache shards.
-			sigma, err := DiscoverView(v, Config{
-				MaxThreshold: 6, Workers: 1 + g%4, Recorder: m,
-			})
+			sigma, err := DiscoverView(v, Config{MaxThreshold: 6, Recorder: m})
 			if err != nil {
 				errs[g] = err
 				return
@@ -171,68 +258,12 @@ func TestDiscoverViewSharedCache(t *testing.T) {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
 		if !bytes.Equal(results[g], wantEnc) {
-			t.Errorf("goroutine %d diverged from the serial private-view set", g)
+			t.Errorf("goroutine %d diverged from the private-view set", g)
 		}
 	}
 	s := m.Snapshot()
 	if s.Counters["discovery_workers"] == 0 || s.Counters["discovery_pattern_chunks"] == 0 {
 		t.Errorf("parallel discovery counters not recorded: %+v", s.Counters)
-	}
-}
-
-// TestMaintainerWorkerParity: the maintained set after a stream of
-// arrivals is identical for every worker count.
-func TestMaintainerWorkerParity(t *testing.T) {
-	base := table2(t)
-	sigma, err := Discover(base, Config{MaxThreshold: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrivals := []dataset.Tuple{
-		{dataset.NewString("Granite"), dataset.NewString("Malibu"), dataset.NewString("310/456-0000"), dataset.NewString("Californian"), dataset.NewInt(6)},
-		{dataset.NewString("Citroen"), dataset.NewString("LA"), dataset.NewString("213/857-0034"), dataset.NewString("French"), dataset.NewInt(5)},
-		{dataset.NewString("Fenix"), dataset.NewString("Hollywood"), dataset.NewString("213/848-6677"), dataset.NewString("French"), dataset.NewInt(4)},
-		{dataset.NewString("C. Main"), dataset.NewString("Los Angeles"), dataset.NewString("213/857-0034"), dataset.NewString("French"), dataset.NewInt(5)},
-	}
-	var ref []byte
-	var refDropped, refTightened int
-	for _, workers := range parityWorkerCounts {
-		mt := NewMaintainerWorkers(base, sigma, workers)
-		for _, tpl := range arrivals {
-			if _, _, err := mt.Append(tpl); err != nil {
-				t.Fatal(err)
-			}
-		}
-		enc := encodeSet(t, mt.Sigma(), base.Schema())
-		d, tt := mt.Stats()
-		if workers == parityWorkerCounts[0] {
-			ref, refDropped, refTightened = enc, d, tt
-			continue
-		}
-		if !bytes.Equal(enc, ref) {
-			t.Errorf("maintained set differs at workers=%d", workers)
-		}
-		if d != refDropped || tt != refTightened {
-			t.Errorf("workers=%d stats (%d, %d), want (%d, %d)", workers, d, tt, refDropped, refTightened)
-		}
-	}
-}
-
-// TestAdaptiveLimitsWorkerParity: the per-attribute caps are identical
-// for every worker count, exhaustive and sampled.
-func TestAdaptiveLimitsWorkerParity(t *testing.T) {
-	rel := table4Relation(t)
-	for _, maxPairs := range []int{0, 400} {
-		ref := AdaptiveAttrLimits(rel, 0.25, maxPairs, 3)
-		for _, workers := range parityWorkerCounts {
-			got := AdaptiveAttrLimitsWorkers(rel, 0.25, maxPairs, 3, workers)
-			for a := range ref {
-				if got[a] != ref[a] {
-					t.Errorf("maxPairs=%d workers=%d attr %d cap %v, want %v",
-						maxPairs, workers, a, got[a], ref[a])
-				}
-			}
-		}
 	}
 }
 
@@ -252,18 +283,47 @@ func TestPairAt(t *testing.T) {
 	}
 }
 
-// TestDiscoverRejectsNegativeWorkers: config validation covers the new
-// knob.
-func TestDiscoverRejectsNegativeWorkers(t *testing.T) {
-	if _, err := Discover(table2(t), Config{MaxThreshold: 3, Workers: -1}); err == nil {
-		t.Error("negative Workers accepted")
+// chunkRanges collects the ranges runChunks hands out, in chunk order.
+func chunkRanges(n, workers int) [][2]int {
+	got := make([][2]int, max(1, workers))
+	count := runChunks(workers, n, func(chunk, lo, hi int) {
+		got[chunk] = [2]int{lo, hi}
+	})
+	return got[:count]
+}
+
+func TestChunkRanges(t *testing.T) {
+	cases := []struct {
+		n, workers int
+		wantChunks int
+	}{
+		{10, 3, 3},
+		{10, 1, 1},
+		{3, 8, 3},
+		{0, 4, 0},
+		{7, 0, 1},
+	}
+	for _, c := range cases {
+		if got := chunkRanges(c.n, c.workers); len(got) != c.wantChunks {
+			t.Errorf("runChunks(%d,%d) ran %v, want %d chunks", c.workers, c.n, got, c.wantChunks)
+		}
 	}
 }
 
-func ExampleConfig_workers() {
-	rel, _ := dataset.ReadCSVString("A,B\nx,1\nx,1\ny,2\ny,2\n")
-	serial, _ := Discover(rel, Config{MaxThreshold: 0, Workers: 1})
-	parallel, _ := Discover(rel, Config{MaxThreshold: 0, Workers: 8})
-	fmt.Println(len(serial) == len(parallel))
-	// Output: true
+// TestChunkRangesCover: chunking always tiles [0, n) exactly, in order.
+func TestChunkRangesCover(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 10, 100} {
+		for _, w := range []int{0, 1, 2, 3, 4, 8, 200} {
+			next := 0
+			for _, rg := range chunkRanges(n, w) {
+				if rg[0] != next || rg[1] <= rg[0] {
+					t.Fatalf("runChunks(%d, %d) ran bad range %v", w, n, rg)
+				}
+				next = rg[1]
+			}
+			if next != n {
+				t.Fatalf("runChunks(%d, %d) covers [0, %d), want [0, %d)", w, n, next, n)
+			}
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 
@@ -10,9 +11,8 @@ import (
 )
 
 // RevalidateRows repairs Σ against every tuple pair a set of changed
-// rows introduces — the Maintainer's repair rule applied after an
-// in-place mutation instead of an append. It is the Σ-correctness half
-// of a live-session delta:
+// rows introduces. It is the Σ-correctness half of a live-session delta
+// and of each Maintainer arrival:
 //
 //   - deletes need no repair (every RFDc holding on an instance holds
 //     on any subset — dropping pairs cannot create a violation), so
@@ -21,11 +21,11 @@ import (
 //     every other row, so each changed row is checked against the whole
 //     instance; a pair of two changed rows is checked once (by its
 //     lower-numbered member's sweep);
-//   - repairs reuse the Maintainer's greedy cut (repairAgainst): the
-//     LHS threshold with the largest pair distance is tightened just
-//     below it, or the dependency is dropped when the pair is identical
-//     on the whole LHS. Tightening is monotone, so the returned set
-//     holds on the entire new instance, not just the checked pairs.
+//   - a repair is discovery's greedy cut (repairAgainst): the LHS
+//     threshold with the largest pair distance is tightened just below
+//     it, or the dependency is dropped when the pair is identical on the
+//     whole LHS. Tightening is monotone, so the returned set holds on
+//     the entire new instance, not just the checked pairs.
 //
 // Each changed row's sweep runs on its distance columns (an
 // engine.RowPass): a rule's LHS match bitsets ANDed with its RHS breach
@@ -147,4 +147,34 @@ func uniqInts(s []int) int {
 		}
 	}
 	return w
+}
+
+// repairAgainst returns the dependency unchanged when the pattern does
+// not witness a violation; otherwise it tightens the LHS threshold on
+// the attribute with the largest distance so the pair no longer
+// satisfies the premise. The second result is false when no repair
+// exists (the pair is identical on every LHS attribute).
+func repairAgainst(dep *rfd.RFD, p distance.Pattern) (*rfd.RFD, bool) {
+	if !dep.ViolatedBy(p) {
+		return dep, true
+	}
+	best, bestD := -1, -1.0
+	for i, c := range dep.LHS {
+		if d := p[c.Attr]; d > bestD {
+			best, bestD = i, d
+		}
+	}
+	if bestD <= 0 {
+		return nil, false
+	}
+	next := math.Ceil(bestD) - 1
+	if next >= bestD {
+		next = bestD - 1
+	}
+	if next < 0 {
+		return nil, false
+	}
+	lhs := append([]rfd.Constraint(nil), dep.LHS...)
+	lhs[best].Threshold = next
+	return rfd.MustNew(lhs, dep.RHS), true
 }

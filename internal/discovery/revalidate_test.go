@@ -83,7 +83,7 @@ func TestRevalidateRowsInvariant(t *testing.T) {
 // TestRevalidateRowsMatchesLiteral: on random mixed-kind instances,
 // random changed-row sets and random Σ — thresholds outside
 // engine.Exact included — the bitset sweep returns the Σ, order and
-// counts of the literal per-pair repair the Maintainer keeps.
+// counts of the literal per-pair repair.
 func TestRevalidateRowsMatchesLiteral(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	repairs, literal := 0, 0
@@ -120,7 +120,7 @@ func TestRevalidateRowsMatchesLiteral(t *testing.T) {
 
 // literalRevalidate is the per-pair repair sweep: every changed row
 // against every other row (a changed pair once), every rule on every
-// pair, the repair the Maintainer applies to each arrival.
+// pair, in pair order.
 func literalRevalidate(v *engine.View, sigma rfd.Set, rows []int) (rfd.Set, int, int) {
 	cp := make(rfd.Set, len(sigma))
 	for i, dep := range sigma {
@@ -234,45 +234,6 @@ func randomRevalidateSigma(rng *rand.Rand, m int) rfd.Set {
 		}
 	}
 	return sigma
-}
-
-// TestRevalidateRowsMatchesMaintainer: for a pure append, revalidating
-// the new row must agree with the Maintainer's incremental repair —
-// same kept set, same drop/tighten counts — since both sweep the same
-// pairs in the same order through the same greedy cut.
-func TestRevalidateRowsMatchesMaintainer(t *testing.T) {
-	base := table2(t)
-	sigma, err := Discover(base, Config{MaxThreshold: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	arrival := dataset.Tuple{
-		dataset.NewString("Granita"), dataset.NewString("Hollywood"),
-		dataset.NewString("310/456-0488"), dataset.NewString("French"),
-		dataset.NewInt(3),
-	}
-	mt := NewMaintainer(base, sigma)
-	wantD, wantT, err := mt.Append(arrival)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	grown := base.Clone()
-	grown.MustAppend(arrival.Clone())
-	out, d, tt := RevalidateRows(engine.Compile(grown), sigma, []int{grown.Len() - 1})
-	if d != wantD || tt != wantT {
-		t.Fatalf("counts (%d,%d) != maintainer (%d,%d)", d, tt, wantD, wantT)
-	}
-	want := mt.Sigma()
-	if len(out) != len(want) {
-		t.Fatalf("%d deps != maintainer %d", len(out), len(want))
-	}
-	for i := range out {
-		if !out[i].Equal(want[i]) {
-			t.Fatalf("dep %d diverged: %s vs %s", i,
-				out[i].Format(base.Schema()), want[i].Format(base.Schema()))
-		}
-	}
 }
 
 // TestRevalidateRowsEdgeCases: no changed rows or an empty Σ short-

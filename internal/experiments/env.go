@@ -91,8 +91,6 @@ func (e *Env) SigmaFor(rel *dataset.Relation, threshold float64) (rfd.Set, error
 		MaxThreshold: threshold,
 		MaxPairs:     e.Scale.DiscoveryMaxPairs,
 		Seed:         e.Scale.Seed,
-		Workers:      e.Scale.DiscoveryWorkers,
-		Shards:       e.Scale.DiscoveryShards,
 	})
 }
 

@@ -40,14 +40,6 @@ type Scale struct {
 	ComparisonThreshold float64
 	// DiscoveryMaxPairs caps pair sampling during discovery (0 = exact).
 	DiscoveryMaxPairs int
-	// DiscoveryWorkers sets the discovery worker-pool size (0 = all
-	// CPUs, 1 = serial). Discovery output is byte-identical for every
-	// value, so campaigns stay reproducible across hosts.
-	DiscoveryWorkers int
-	// DiscoveryShards partitions pattern materialization to bound peak
-	// memory (0 = unsharded). Like DiscoveryWorkers, the discovered set
-	// is byte-identical for every value.
-	DiscoveryShards int
 	// Budget bounds each stress-table run (scaled stand-in for the
 	// paper's 48 h / 30 GB limits).
 	Budget eval.Budget

@@ -59,11 +59,11 @@ const (
 	CtrDiscoveryPatterns
 	// CtrDiscoveryRFDs counts RFDcs emitted by discovery.
 	CtrDiscoveryRFDs
-	// CtrDiscoveryWorkers accumulates the effective worker count of each
-	// discovery run (Config.Workers with 0 resolved to runtime.NumCPU()).
+	// CtrDiscoveryWorkers accumulates the worker count of each discovery
+	// run (runtime.GOMAXPROCS at the time of the run).
 	CtrDiscoveryWorkers
-	// CtrDiscoveryPatternChunks counts the chunks the discovery
-	// pattern-space materialization was split into across workers.
+	// CtrDiscoveryPatternChunks counts the worker chunks the discovery
+	// pattern-space materialization was split into, over all its bands.
 	CtrDiscoveryPatternChunks
 	// CtrLevenshteinCalls counts exact edit-distance computations.
 	CtrLevenshteinCalls
@@ -101,15 +101,9 @@ const (
 	CtrServeTimeouts
 	// CtrServePanics counts handler panics recovered in serve mode.
 	CtrServePanics
-	// CtrDiscoveryShards accumulates the effective shard count of each
-	// discovery run (Config.Shards with 0 resolved to 1).
-	CtrDiscoveryShards
-	// CtrDiscoveryShardSlabBytes accumulates the transient pattern-slab
-	// bytes each discovery shard materialized before compact encoding.
-	CtrDiscoveryShardSlabBytes
 	// CtrDiscoveryPatternPeakBytes accumulates each discovery run's peak
-	// pattern-storage bytes: the full slab when unsharded, the largest
-	// shard slab plus the compact store when sharded.
+	// pattern-storage bytes: the transient band slab plus the compact
+	// store.
 	CtrDiscoveryPatternPeakBytes
 	// CtrDeltaApplied counts ApplyDelta calls that published a new epoch.
 	CtrDeltaApplied
@@ -176,8 +170,6 @@ var counterNames = [...]string{
 	CtrServeTimeouts:          "serve_timeouts",
 	CtrServePanics:            "serve_panics",
 
-	CtrDiscoveryShards:           "discovery_shards",
-	CtrDiscoveryShardSlabBytes:   "discovery_shard_slab_bytes",
 	CtrDiscoveryPatternPeakBytes: "discovery_pattern_peak_bytes",
 
 	CtrDeltaApplied:                "delta_applied",
@@ -328,7 +320,7 @@ var counterHelp = [...]string{
 	CtrStreamAppends:          "Tuples absorbed by incremental sessions.",
 	CtrDiscoveryPatterns:      "Tuple-pair distance patterns materialized during RFDc discovery.",
 	CtrDiscoveryRFDs:          "RFDcs emitted by discovery.",
-	CtrDiscoveryWorkers:       "Accumulated effective worker count across discovery runs.",
+	CtrDiscoveryWorkers:       "Accumulated worker count across discovery runs.",
 	CtrDiscoveryPatternChunks: "Chunks the discovery pattern-space materialization was split into.",
 	CtrLevenshteinCalls:       "Exact edit-distance computations.",
 	CtrLevenshteinEarlyExits:  "Bounded-predicate calls that short-circuited before the full dynamic program.",
@@ -343,8 +335,6 @@ var counterHelp = [...]string{
 	CtrServeTimeouts:          "Serve-mode requests aborted by the per-request deadline or a client disconnect.",
 	CtrServePanics:            "Handler panics recovered in serve mode.",
 
-	CtrDiscoveryShards:           "Accumulated effective shard count across discovery runs.",
-	CtrDiscoveryShardSlabBytes:   "Transient pattern-slab bytes materialized per discovery shard.",
 	CtrDiscoveryPatternPeakBytes: "Accumulated per-run peak pattern-storage bytes during discovery.",
 
 	CtrDeltaApplied:                "ApplyDelta calls that published a new epoch.",

@@ -39,7 +39,6 @@ import (
 	"repro/internal/impute/meanmode"
 	"repro/internal/impute/regression"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/rfd"
 )
@@ -172,13 +171,6 @@ func DiscoverRFDsContext(ctx context.Context, rel *Relation, opts DiscoveryOptio
 // value distributions"). Feed the result to DiscoveryOptions.AttrLimits.
 func AdaptiveThresholdLimits(rel *Relation, quantile float64, maxPairs int, seed int64) []float64 {
 	return discovery.AdaptiveAttrLimits(rel, quantile, maxPairs, seed)
-}
-
-// AdaptiveThresholdLimitsWorkers is AdaptiveThresholdLimits with the
-// exhaustive pair scan chunked across workers (0 = all CPUs). The caps
-// are identical for every worker count.
-func AdaptiveThresholdLimitsWorkers(rel *Relation, quantile float64, maxPairs int, seed int64, workers int) []float64 {
-	return discovery.AdaptiveAttrLimitsWorkers(rel, quantile, maxPairs, seed, workers)
 }
 
 // The RENUVER imputer.
@@ -460,21 +452,6 @@ type (
 	// invalidation the delta caused.
 	DeltaResult = core.DeltaResult
 )
-
-// Parallelism bundles the two discovery parallelism knobs —
-// DiscoveryOptions.Workers and DiscoveryOptions.Shards — under one
-// validation rule: 0 means default, negatives and values above the
-// shared bound are rejected. Both CLIs and the option validators all
-// delegate to this one rule.
-type Parallelism = par.Parallelism
-
-// CheckParallelism validates one parallelism knob value (0 = default),
-// naming the knob in the error.
-func CheckParallelism(name string, v int) error { return par.Check(name, v) }
-
-// MaxParallelism is the shared upper bound CheckParallelism enforces on
-// every parallelism knob.
-const MaxParallelism = par.Max
 
 // ArtifactInfo summarizes a compiled-session artifact: format version,
 // whole-file checksum, tuple count, arity, |Σ|, and encoded size. A
