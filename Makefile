@@ -43,7 +43,7 @@ kernels:
 # The concurrency-sensitive packages (concurrent imputation runs, parallel
 # discovery, the lock-free metrics sink, the trace ring) under the race
 # detector, with tracing exercised at 100% sampling by the stress tests
-# and concurrent Discover runs sharing one engine view/cache.
+# and concurrent Discover runs sharing one engine view.
 race:
 	$(GO) test -race ./internal/core/... ./internal/discovery/... ./internal/engine/... ./internal/obs/...
 

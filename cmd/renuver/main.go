@@ -47,6 +47,7 @@ import (
 	"strings"
 
 	renuver "repro"
+	"repro/internal/distance"
 )
 
 // version identifies the build; override it at link time with
@@ -59,7 +60,7 @@ func main() {
 		switch os.Args[1] {
 		case "-version", "--version", "version":
 			fmt.Printf("renuver %s %s levenshtein_kernel=%s artifact_format=v%d\n",
-				version, runtime.Version(), renuver.ActiveKernelName(), renuver.ArtifactFormatVersion)
+				version, runtime.Version(), distance.ActiveKernel().String(), renuver.ArtifactFormatVersion)
 			return
 		case "compile":
 			if err := runCompile(os.Args[2:]); err != nil {

@@ -174,15 +174,15 @@ func TestRunDescOrderAndOffVerify(t *testing.T) {
 	}
 }
 
-// TestInfiniteThresholdExits runs `renuver -in dirty.csv -threshold Inf`
-// as a child process (this test binary, re-entering main) and expects a
-// non-zero exit with the discovery error: an infinite limit has no
-// finite default β grid to build.
-func TestInfiniteThresholdExits(t *testing.T) {
+// thresholdChild runs `renuver -in dirty.csv -threshold <th>` as a child
+// process (this test binary, re-entering main through the named test)
+// and returns its exit code and combined output. In the child it runs
+// main and reports true; the caller then returns.
+func thresholdChild(t *testing.T, test, th string) (child bool, code int, out []byte) {
 	if in := os.Getenv("RENUVER_TEST_MAIN_IN"); in != "" {
-		os.Args = []string{"renuver", "-in", in, "-threshold", "Inf"}
+		os.Args = []string{"renuver", "-in", in, "-threshold", th}
 		main()
-		return
+		return true, 0, nil
 	}
 	sh, err := exec.LookPath("sh")
 	if err != nil {
@@ -192,14 +192,43 @@ func TestInfiniteThresholdExits(t *testing.T) {
 	// The address-space cap turns a regression (a β grid that never
 	// stops growing) into a failed child instead of an exhausted host.
 	cmd := exec.Command(sh, "-c", `ulimit -v 4000000 && exec "$@"`, "sh",
-		os.Args[0], "-test.run=^TestInfiniteThresholdExits$")
+		os.Args[0], "-test.run=^"+test+"$")
 	cmd.Env = append(os.Environ(), "RENUVER_TEST_MAIN_IN="+in)
-	out, err := cmd.CombinedOutput()
+	out, err = cmd.CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() == 0 {
-		t.Fatalf("renuver -threshold Inf: err %v, want a non-zero exit\n%s", err, out)
+	if !errors.As(err, &exit) {
+		t.Fatalf("renuver -threshold %s: err %v, want a non-zero exit\n%s", th, err, out)
+	}
+	return false, exit.ExitCode(), out
+}
+
+// TestInfiniteThresholdExits expects `renuver -threshold Inf` to exit
+// non-zero with the discovery error: an infinite limit has no finite
+// default β grid to build.
+func TestInfiniteThresholdExits(t *testing.T) {
+	child, code, out := thresholdChild(t, "TestInfiniteThresholdExits", "Inf")
+	if child {
+		return
+	}
+	if code == 0 {
+		t.Fatalf("renuver -threshold Inf exited 0\n%s", out)
 	}
 	if !strings.Contains(string(out), "MaxThreshold must be finite") {
 		t.Errorf("renuver -threshold Inf output lacks the discovery error:\n%s", out)
+	}
+}
+
+// TestHugeThresholdExits expects `renuver -threshold 1e7` to exit 1 with
+// the β-grid error instead of building a ten-million-entry default grid.
+func TestHugeThresholdExits(t *testing.T) {
+	child, code, out := thresholdChild(t, "TestHugeThresholdExits", "1e7")
+	if child {
+		return
+	}
+	if code != 1 {
+		t.Fatalf("renuver -threshold 1e7 exited %d, want 1\n%s", code, out)
+	}
+	if !strings.Contains(string(out), "exceeds 65535") || !strings.Contains(string(out), "RHSGrid") {
+		t.Errorf("renuver -threshold 1e7 output lacks the β-grid error:\n%s", out)
 	}
 }

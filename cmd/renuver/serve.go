@@ -18,11 +18,13 @@ import (
 	"time"
 
 	renuver "repro"
+	"repro/internal/distance"
+	"repro/internal/obs"
 )
 
 // runServe is the `renuver serve` mode: a long-lived imputation service
 // built on a renuver.Session. The base instance is compiled once at
-// startup (columnar form, interning tables, shared distance cache); Σ is
+// startup (columnar form and interning tables); Σ is
 // discovered on the compiled base (or loaded from a file); every request
 // then serves against those read-only artifacts with per-request state
 // only. A bounded admission gate caps concurrent runs at -pool-size and
@@ -145,8 +147,7 @@ func runServe(args []string) error {
 			return err
 		}
 		// Compile the base once; Σ either loads from a file or is mined
-		// from the compiled view (which also warms the shared distance
-		// cache the requests will read).
+		// from the compiled view.
 		if sess, err = renuver.NewSession(base, nil, opts...); err != nil {
 			return err
 		}
@@ -311,10 +312,10 @@ func newGate(limits serveLimits, metrics *renuver.MetricsRecorder) *gate {
 func (g *gate) acquire(ctx context.Context) (release func(), err error) {
 	enqueued := time.Now()
 	w := g.waiting.Add(1)
-	g.metrics.Observe(renuver.HistServeQueueDepth, float64(w-1))
+	g.metrics.Observe(obs.HistServeQueueDepth, float64(w-1))
 	defer g.waiting.Add(-1)
 	admitted := func() func() {
-		g.metrics.Observe(renuver.HistServeQueueWaitMicros,
+		g.metrics.Observe(obs.HistServeQueueWaitMicros,
 			float64(time.Since(enqueued).Microseconds()))
 		return func() { <-g.slots }
 	}
@@ -433,7 +434,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // context, answers with the request's identity (X-Request-Id and a
 // response traceparent), and on completion finishes the trace into the
 // ring and records the route's latency.
-func telemetry(next http.Handler, ring *renuver.SpanRing, latency *renuver.HistVec,
+func telemetry(next http.Handler, ring *renuver.SpanRing, latency *obs.HistVec,
 	logger *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		route := routeLabel(r.URL.Path)
@@ -464,47 +465,37 @@ func telemetry(next http.Handler, ring *renuver.SpanRing, latency *renuver.HistV
 
 // newServeRegistry composes the serve-mode /metrics surface: the shared
 // recorder, the per-route latency family, the build-info gauge, and —
-// when the session holds a precompiled base — the shared distance
-// cache's per-shard counters.
-func newServeRegistry(sess *renuver.Session, metrics *renuver.MetricsRecorder) (*renuver.MetricsRegistry, *renuver.HistVec) {
-	latency := renuver.NewHistVec("http_request_micros",
+// when the session holds a precompiled base — the live epoch gauge
+// (plus the artifact identity when booted from one).
+func newServeRegistry(sess *renuver.Session, metrics *renuver.MetricsRecorder) (*obs.Registry, *obs.HistVec) {
+	latency := obs.NewHistVec("http_request_micros",
 		"HTTP request latency per route, microseconds.",
 		"route", serveRoutes, httpLatencyBounds)
-	reg := renuver.NewMetricsRegistry(metrics)
-	reg.Register(latency, renuver.NewConstGauge("build_info",
+	reg := obs.NewRegistry(metrics)
+	reg.Register(latency, obs.NewConstGauge("build_info",
 		"Build and runtime identity; the payload is in the labels.", 1,
-		renuver.MetricLabel{Key: "version", Value: version},
-		renuver.MetricLabel{Key: "go_version", Value: runtime.Version()},
-		renuver.MetricLabel{Key: "levenshtein_kernel", Value: renuver.ActiveKernelName()},
+		obs.Label{Key: "version", Value: version},
+		obs.Label{Key: "go_version", Value: runtime.Version()},
+		obs.Label{Key: "levenshtein_kernel", Value: distance.ActiveKernel().String()},
 	))
 	if ai := sess.Artifact(); ai != nil {
 		// The artifact identity the replica serves: the checksum label is
 		// what lets a fleet dashboard prove every replica loaded the same
 		// compiled session.
-		reg.Register(renuver.NewConstGauge("artifact_info",
+		reg.Register(obs.NewConstGauge("artifact_info",
 			"Compiled-session artifact identity; the payload is in the labels.", 1,
-			renuver.MetricLabel{Key: "format_version", Value: fmt.Sprintf("v%d", ai.FormatVersion)},
-			renuver.MetricLabel{Key: "checksum", Value: fmt.Sprintf("%016x", ai.Checksum)},
-			renuver.MetricLabel{Key: "tuples", Value: fmt.Sprintf("%d", ai.Tuples)},
-			renuver.MetricLabel{Key: "sigma_rules", Value: fmt.Sprintf("%d", ai.Rules)},
+			obs.Label{Key: "format_version", Value: fmt.Sprintf("v%d", ai.FormatVersion)},
+			obs.Label{Key: "checksum", Value: fmt.Sprintf("%016x", ai.Checksum)},
+			obs.Label{Key: "tuples", Value: fmt.Sprintf("%d", ai.Tuples)},
+			obs.Label{Key: "sigma_rules", Value: fmt.Sprintf("%d", ai.Rules)},
 		))
 	}
 	if sess.BaseView() != nil {
 		// The live-session epoch: 0 at boot, +1 per applied /delta. A flat
 		// line here means the replica serves exactly what it booted with.
-		reg.Register(renuver.NewFuncGauge("session_epoch",
+		reg.Register(obs.NewFuncGauge("session_epoch",
 			"Current live-session epoch (deltas applied since boot).",
 			func() float64 { return float64(sess.Epoch()) }))
-	}
-	if sess.CacheShardStats() != nil {
-		reg.Register(renuver.NewShardStatsCollector("engine_cache_shard", func() []renuver.ShardStat {
-			stats := sess.CacheShardStats()
-			out := make([]renuver.ShardStat, len(stats))
-			for i, s := range stats {
-				out[i] = renuver.ShardStat{Hits: s.Hits, Misses: s.Misses, Merges: s.Merges}
-			}
-			return out
-		}))
 	}
 	return reg, latency
 }
@@ -527,9 +518,9 @@ func newServeMux(sess *renuver.Session, metrics *renuver.MetricsRecorder,
 
 	mux := http.NewServeMux()
 	handleBoth(mux, "/metrics", registry.Handler())
-	handleBoth(mux, "/trace/last", renuver.TraceHandler(tracer))
-	handleBoth(mux, "/debug/spans", renuver.SpansHandler(ring))
-	renuver.MountDebugHandlers(mux)
+	handleBoth(mux, "/trace/last", obs.TraceHandler(tracer))
+	handleBoth(mux, "/debug/spans", obs.SpansHandler(ring))
+	obs.MountDebug(mux)
 	handleBoth(mux, "/healthz", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "ok")
 	}))
@@ -561,7 +552,7 @@ func newServeMux(sess *renuver.Session, metrics *renuver.MetricsRecorder,
 		release, err := g.acquire(r.Context())
 		if err != nil {
 			if errors.Is(err, errQueueFull) {
-				metrics.Add(renuver.CtrServeRejected, 1)
+				metrics.Add(obs.CtrServeRejected, 1)
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusTooManyRequests, "queue_full",
 					"admission queue full; retry later")
@@ -569,13 +560,13 @@ func newServeMux(sess *renuver.Session, metrics *renuver.MetricsRecorder,
 			}
 			// The client gave up while queued; nobody is listening, but the
 			// envelope keeps intermediaries informed.
-			metrics.Add(renuver.CtrServeTimeouts, 1)
+			metrics.Add(obs.CtrServeTimeouts, 1)
 			writeError(w, http.StatusServiceUnavailable, "canceled",
 				"request abandoned while queued")
 			return
 		}
 		defer release()
-		metrics.Add(renuver.CtrServeAccepted, 1)
+		metrics.Add(obs.CtrServeAccepted, 1)
 		lg := reqLogger(r.Context(), logger)
 
 		ctx := r.Context()
@@ -594,7 +585,7 @@ func newServeMux(sess *renuver.Session, metrics *renuver.MetricsRecorder,
 		res, err := sess.Impute(ctx, rel)
 		if err != nil {
 			if errors.Is(err, renuver.ErrCanceled) {
-				metrics.Add(renuver.CtrServeTimeouts, 1)
+				metrics.Add(obs.CtrServeTimeouts, 1)
 				lg.Warn("request deadline exceeded",
 					"missing", rel.CountMissing(), "elapsed", time.Since(start).String())
 				writeError(w, http.StatusGatewayTimeout, "timeout",
@@ -635,7 +626,7 @@ func recoverPanics(next http.Handler, metrics *renuver.MetricsRecorder, logger *
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if p := recover(); p != nil {
-				metrics.Add(renuver.CtrServePanics, 1)
+				metrics.Add(obs.CtrServePanics, 1)
 				logger.Error("handler panic", "panic", fmt.Sprint(p), "path", r.URL.Path)
 				writeError(w, http.StatusInternalServerError, "internal", "internal error")
 			}

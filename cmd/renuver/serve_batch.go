@@ -22,6 +22,7 @@ import (
 	"time"
 
 	renuver "repro"
+	"repro/internal/obs"
 )
 
 // jsonContentType reports whether the request declares a JSON body —
@@ -180,19 +181,19 @@ func handleBatchImpute(w http.ResponseWriter, r *http.Request, sess *renuver.Ses
 	release, err := g.acquire(r.Context())
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
-			metrics.Add(renuver.CtrServeRejected, 1)
+			metrics.Add(obs.CtrServeRejected, 1)
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "queue_full",
 				"admission queue full; retry later")
 			return
 		}
-		metrics.Add(renuver.CtrServeTimeouts, 1)
+		metrics.Add(obs.CtrServeTimeouts, 1)
 		writeError(w, http.StatusServiceUnavailable, "canceled",
 			"request abandoned while queued")
 		return
 	}
 	defer release()
-	metrics.Add(renuver.CtrServeAccepted, 1)
+	metrics.Add(obs.CtrServeAccepted, 1)
 	lg := reqLogger(r.Context(), logger)
 
 	ctx := r.Context()
@@ -234,7 +235,7 @@ func handleBatchImpute(w http.ResponseWriter, r *http.Request, sess *renuver.Ses
 	// The whole deadline spent queueing or parsing: reject the batch as
 	// one timeout rather than stamping N identical envelopes.
 	if ctx.Err() != nil {
-		metrics.Add(renuver.CtrServeTimeouts, 1)
+		metrics.Add(obs.CtrServeTimeouts, 1)
 		writeError(w, http.StatusGatewayTimeout, "timeout",
 			"request deadline exceeded before the batch started")
 		return
@@ -305,7 +306,7 @@ func handleBatchImpute(w http.ResponseWriter, r *http.Request, sess *renuver.Ses
 		resp.Imputed += res.Stats.Imputed
 	}
 	if expired {
-		metrics.Add(renuver.CtrServeTimeouts, 1)
+		metrics.Add(obs.CtrServeTimeouts, 1)
 	}
 	if lg != nil {
 		lg.Info("batch imputed",

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	renuver "repro"
+	"repro/internal/obs"
 )
 
 // batchTestMux builds a serve mux over a base-backed session (batch mode
@@ -183,7 +184,7 @@ func TestServeBatchBackpressure(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if metrics.Counter(renuver.CtrServeRejected) == 0 {
+	if metrics.Counter(obs.CtrServeRejected) == 0 {
 		t.Error("serve_rejected not counted")
 	}
 
@@ -235,7 +236,7 @@ func TestServeBatchMidBatchCancellation(t *testing.T) {
 			t.Errorf("tuple %d code = %q, want timeout", i, resp.Results[i].Code)
 		}
 	}
-	if metrics.Counter(renuver.CtrServeTimeouts) == 0 {
+	if metrics.Counter(obs.CtrServeTimeouts) == 0 {
 		t.Error("serve_timeouts not counted for the mid-batch expiry")
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	renuver "repro"
+	"repro/internal/obs"
 )
 
 // deltaUpdate is the JSON form of one cell update. Attr accepts either
@@ -108,7 +109,7 @@ func decodeDelta(schema *renuver.Schema, body []byte) (renuver.Delta, error) {
 // gate as imputation work (revalidating Σ over the changed rows is real
 // work), applied atomically, and answered with the DeltaResult JSON:
 // the new epoch, the applied mutation counts, and what the delta cost
-// (Σ repairs, cache invalidation, index rebuild). Error envelopes
+// (Σ repairs and interner compactions). Error envelopes
 // follow the batch-impute conventions: 405 on non-POST, 415 on non-JSON
 // bodies, 400 on a body that does not decode against the schema, 422
 // when the mutation batch is rejected whole (bad row handles, arity or
@@ -139,19 +140,19 @@ func handleDelta(w http.ResponseWriter, r *http.Request, sess *renuver.Session,
 	release, err := g.acquire(r.Context())
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
-			metrics.Add(renuver.CtrServeRejected, 1)
+			metrics.Add(obs.CtrServeRejected, 1)
 			w.Header().Set("Retry-After", "1")
 			writeError(w, http.StatusTooManyRequests, "queue_full",
 				"admission queue full; retry later")
 			return
 		}
-		metrics.Add(renuver.CtrServeTimeouts, 1)
+		metrics.Add(obs.CtrServeTimeouts, 1)
 		writeError(w, http.StatusServiceUnavailable, "canceled",
 			"request abandoned while queued")
 		return
 	}
 	defer release()
-	metrics.Add(renuver.CtrServeAccepted, 1)
+	metrics.Add(obs.CtrServeAccepted, 1)
 	lg := reqLogger(r.Context(), logger)
 
 	ctx := r.Context()
@@ -176,7 +177,7 @@ func handleDelta(w http.ResponseWriter, r *http.Request, sess *renuver.Session,
 	res, err := sess.ApplyDelta(ctx, d)
 	if err != nil {
 		if errors.Is(err, renuver.ErrCanceled) {
-			metrics.Add(renuver.CtrServeTimeouts, 1)
+			metrics.Add(obs.CtrServeTimeouts, 1)
 			lg.Warn("delta deadline exceeded", "elapsed", time.Since(start).String())
 			writeError(w, http.StatusGatewayTimeout, "timeout",
 				"request deadline exceeded; the delta was not applied")

@@ -101,6 +101,11 @@ func TestServeDeltaEndpoint(t *testing.T) {
 	if !strings.Contains(mrec.Body.String(), "session_epoch 2") {
 		t.Fatalf("prometheus /metrics does not report session_epoch 2:\n%s", mrec.Body.String())
 	}
+	// The engine keeps no distance memo, so a base-backed session exposes
+	// no cache family.
+	if strings.Contains(mrec.Body.String(), "renuver_engine_cache") {
+		t.Fatalf("prometheus /metrics exposes a distance-cache family:\n%s", mrec.Body.String())
+	}
 }
 
 // TestServeDeltaErrorEnvelopes: every rejection path speaks the serve

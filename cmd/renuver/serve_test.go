@@ -11,6 +11,8 @@ import (
 	"time"
 
 	renuver "repro"
+	"repro/internal/distance"
+	"repro/internal/obs"
 )
 
 // paperCSV is the running example of the paper (Figure 1 flavor): the
@@ -286,7 +288,7 @@ func TestServeBackpressure(t *testing.T) {
 
 	// Both admitted acquires (the slot holder and the queued waiter)
 	// recorded their queue wait; the shed arrival must not have.
-	if got := metrics.Hist(renuver.HistServeQueueWaitMicros).Count; got != 2 {
+	if got := metrics.Hist(obs.HistServeQueueWaitMicros).Count; got != 2 {
 		t.Errorf("queue-wait observations = %d, want 2 (admitted requests only)", got)
 	}
 
@@ -311,12 +313,12 @@ func TestServeBackpressure(t *testing.T) {
 	if rec.Header().Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if metrics.Counter(renuver.CtrServeRejected) == 0 {
+	if metrics.Counter(obs.CtrServeRejected) == 0 {
 		t.Error("serve_rejected not counted")
 	}
 	// The held mux slot is the only further admission; the shed POST
 	// added nothing to the queue-wait distribution.
-	if got := metrics.Hist(renuver.HistServeQueueWaitMicros).Count; got != 3 {
+	if got := metrics.Hist(obs.HistServeQueueWaitMicros).Count; got != 3 {
 		t.Errorf("queue-wait observations after shed = %d, want 3", got)
 	}
 }
@@ -335,7 +337,7 @@ func TestServeRequestTimeout(t *testing.T) {
 	if _, code := decodeEnvelope(t, rec); code != "timeout" {
 		t.Fatalf("504 code = %q", code)
 	}
-	if metrics.Counter(renuver.CtrServeTimeouts) == 0 {
+	if metrics.Counter(obs.CtrServeTimeouts) == 0 {
 		t.Error("serve_timeouts not counted")
 	}
 }
@@ -356,8 +358,8 @@ func TestServePanicIsolation(t *testing.T) {
 	if _, code := decodeEnvelope(t, rec); code != "internal" {
 		t.Fatalf("500 code = %q", code)
 	}
-	if metrics.Counter(renuver.CtrServePanics) != 1 {
-		t.Errorf("serve_panics = %d", metrics.Counter(renuver.CtrServePanics))
+	if metrics.Counter(obs.CtrServePanics) != 1 {
+		t.Errorf("serve_panics = %d", metrics.Counter(obs.CtrServePanics))
 	}
 	// The next request on the same handler chain still works.
 	rec = httptest.NewRecorder()
@@ -572,7 +574,7 @@ func TestServeMetricsRegistryExposition(t *testing.T) {
 		"renuver_serve_queue_wait_micros_count 1",
 		"# HELP renuver_build_info ",
 		`renuver_build_info{version="dev",go_version="` + runtime.Version() +
-			`",levenshtein_kernel="` + renuver.ActiveKernelName() + `"} 1`,
+			`",levenshtein_kernel="` + distance.ActiveKernel().String() + `"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
@@ -602,77 +604,6 @@ func TestServeMetricsRegistryExposition(t *testing.T) {
 	}
 	if routes["/impute"].Count != 1 {
 		t.Errorf("/impute latency series = %+v", routes["/impute"])
-	}
-}
-
-// TestServeShardStatsExposed drives a base-backed session (the only
-// mode with a long-lived shared cache) and asserts the per-shard
-// hit/miss/merge counters reach the exposition and the JSON snapshot.
-func TestServeShardStatsExposed(t *testing.T) {
-	base, err := renuver.LoadCSVString(paperCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma, err := renuver.DiscoverRFDs(base, renuver.DiscoveryOptions{MaxThreshold: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := renuver.NewMetricsRecorder()
-	sess, err := renuver.NewSession(base, sigma, renuver.WithRecorder(metrics))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The serve startup flow: discovery over the compiled base warms the
-	// shared distance cache the requests then read.
-	if _, err := sess.Discover(t.Context(), renuver.DiscoveryOptions{MaxThreshold: 6}); err != nil {
-		t.Fatal(err)
-	}
-	mux, _ := newServeMux(sess, metrics, nil, nil, quietLogger(), serveLimits{})
-
-	rec := httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("POST", "/impute", strings.NewReader(paperCSV)))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("impute = %d: %s", rec.Code, rec.Body.String())
-	}
-
-	req := httptest.NewRequest("GET", "/metrics", nil)
-	req.Header.Set("Accept", "text/plain;version=0.0.4")
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, req)
-	body := rec.Body.String()
-	for _, want := range []string{
-		"# HELP renuver_engine_cache_shard_hits_total ",
-		"# TYPE renuver_engine_cache_shard_hits_total counter",
-		`renuver_engine_cache_shard_hits_total{shard="0"} `,
-		`renuver_engine_cache_shard_misses_total{shard="0"} `,
-		`renuver_engine_cache_shard_merges_total{shard="0"} `,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-
-	rec = httptest.NewRecorder()
-	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	var snap struct {
-		Extra map[string]json.RawMessage `json:"extra"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	var shards []renuver.ShardStat
-	if err := json.Unmarshal(snap.Extra["engine_cache_shards"], &shards); err != nil {
-		t.Fatalf("engine_cache_shards extra: %v", err)
-	}
-	if len(shards) == 0 {
-		t.Fatal("no shard stats in JSON snapshot")
-	}
-	var total int64
-	for _, s := range shards {
-		total += s.Hits + s.Misses
-	}
-	if total == 0 {
-		t.Error("shard stats all zero after an imputation against the shared cache")
 	}
 }
 

@@ -4,9 +4,8 @@ package core
 // serialized into the versioned binary format of internal/artifact and
 // reconstructed on another replica without re-running RFD discovery or
 // the engine compile — the flat columnar slabs, interning tables and Σ
-// load directly. The distance cache is a pure memo and is not
-// serialized; a loaded session starts cold and produces byte-identical
-// imputations, Stats, and traces versus a from-scratch compile.
+// load directly. A loaded session produces byte-identical imputations,
+// Stats, and traces versus a from-scratch compile.
 
 import (
 	"fmt"

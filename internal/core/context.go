@@ -84,17 +84,12 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 			sigmaPrime := kt.nonKeys()
 			clusters := im.clustersFor(sigmaPrime, attr)
 			cell := sp.Child("cell")
-			var hits0, misses0 int64
 			if cell.Enabled() {
 				cell.Int("row", int64(row))
 				cell.Str("attr", schema.Attr(attr).Name)
-				hits0, misses0 = eng.CacheStats()
 			}
 			imputed, err := im.imputeMissingValue(ctx, m, &plan, row, attr, sigmaPrime, clusters, res, idx, cell)
 			if cell.Enabled() {
-				hits1, misses1 := eng.CacheStats()
-				cell.Int("cache_hit_delta", hits1-hits0)
-				cell.Int("cache_miss_delta", misses1-misses0)
 				if imputed {
 					cell.Int("imputed", 1)
 				} else {
@@ -127,14 +122,11 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	return res, nil
 }
 
-// finishRun seals the result (tail counters, engine cache/index
-// counters, total wall clock) and forwards the run to the configured
+// finishRun seals the result (tail counters, engine index counter,
+// total wall clock) and forwards the run to the configured
 // recorder and the run span.
 func (im *Imputer) finishRun(res *Result, eng *engine.View, idx *engine.Index, runStart time.Time, sp obs.Span) {
 	res.finish(eng.Relation())
-	hits, misses := eng.CacheStats()
-	res.Stats.EngineCacheHits = int(hits)
-	res.Stats.EngineCacheMisses = int(misses)
 	res.Stats.EngineIndexProbes = int(idx.Probes())
 	res.Stats.Phases.Total = time.Since(runStart)
 	if sp.Enabled() {

@@ -17,10 +17,9 @@ package core
 // What a delta invalidates is deliberately minimal:
 //
 //   - interned string ids are stable across epochs (Evolve flat-clones
-//     the interning tables), so the memoized distance cache is carried
-//     as-is; only an interner compaction — deletes leaving a table
-//     mostly dead — remaps ids, and then the new epoch gets a copy of
-//     the cache with exactly the compacted attributes' shards rebuilt;
+//     the interning tables), so only the strings a delta introduces are
+//     decoded; an interner compaction — deletes leaving a table mostly
+//     dead — re-interns just the affected attributes;
 //   - Σ is revalidated only against the pairs the delta introduces
 //     (discovery.RevalidateRows); deletes are monotone-safe and check
 //     nothing;
@@ -43,8 +42,8 @@ import (
 
 // epochState is one immutable published generation of a session's
 // compiled base. Everything a reader dereferences through it is frozen;
-// successor epochs share structure (tuples, interner slabs, cache
-// shards) but never mutate it.
+// successor epochs share structure (tuples, interner slabs) but never
+// mutate it.
 type epochState struct {
 	// seq is the epoch number: 0 at construction, +1 per applied delta.
 	seq uint64
@@ -156,10 +155,12 @@ type DeltaResult struct {
 	Rules          int `json:"rules"`
 	SigmaDropped   int `json:"sigma_dropped"`
 	SigmaTightened int `json:"sigma_tightened"`
-	// CompactedAttrs and InvalidatedCacheShards report the only state a
-	// delta discards: densely re-interned attributes and the
-	// distance-cache shards their entries lived in.
-	CompactedAttrs         int `json:"compacted_attrs"`
+	// CompactedAttrs counts the attributes the delta densely
+	// re-interned, the only compiled state a delta discards.
+	CompactedAttrs int `json:"compacted_attrs"`
+	// InvalidatedCacheShards is always 0: the engine keeps no distance
+	// memo to invalidate. The field stays for /v1/delta clients that
+	// read it.
 	InvalidatedCacheShards int `json:"invalidated_cache_shards"`
 	// IndexRebuilt is always false: a delta no longer maintains a
 	// candidate index (the successor epoch carries none). The field stays
@@ -342,19 +343,17 @@ func (s *Session) ApplyDelta(ctx context.Context, d Delta) (*DeltaResult, error)
 	rec.Add(obs.CtrDeltaRowsDeleted, int64(deleted))
 	rec.Add(obs.CtrDeltaSigmaDropped, int64(dropped))
 	rec.Add(obs.CtrDeltaSigmaTightened, int64(tightened))
-	rec.Add(obs.CtrDeltaCacheShardsInvalidated, int64(est.InvalidatedCacheShards))
 	rec.Add(obs.CtrInternersCompacted, int64(est.CompactedAttrs))
 	res := &DeltaResult{
-		Epoch:                  ep.seq,
-		Rows:                   evolved.Len(),
-		Inserted:               len(d.Inserts),
-		Updated:                updated,
-		Deleted:                deleted,
-		Rules:                  len(sigma),
-		SigmaDropped:           dropped,
-		SigmaTightened:         tightened,
-		CompactedAttrs:         est.CompactedAttrs,
-		InvalidatedCacheShards: est.InvalidatedCacheShards,
+		Epoch:          ep.seq,
+		Rows:           evolved.Len(),
+		Inserted:       len(d.Inserts),
+		Updated:        updated,
+		Deleted:        deleted,
+		Rules:          len(sigma),
+		SigmaDropped:   dropped,
+		SigmaTightened: tightened,
+		CompactedAttrs: est.CompactedAttrs,
 	}
 	if sp.Enabled() {
 		sp.Int("epoch", int64(ep.seq))

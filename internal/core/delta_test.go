@@ -99,11 +99,8 @@ func deltaStream(tb testing.TB, base *dataset.Relation, pool *dataset.Relation, 
 
 // assertDeltaParity pins the byte-identity contract between two session
 // runs — final relation (struct and CSV bytes), Imputations, Stats and
-// the trace JSONL stream — with the wall clock and the distance-cache
-// counters zeroed: an evolved session carries the prior epochs' warm
-// memo (pure over stable interned ids), a fresh recompile starts cold,
-// so EngineCacheHits/Misses report memo warmth, not run semantics —
-// everything else must match byte for byte.
+// the trace JSONL stream — with only the wall clock zeroed: everything
+// else must match byte for byte.
 func assertDeltaParity(t *testing.T, label string, wantRes, gotRes *Result, wantTrace, gotTrace []byte) {
 	t.Helper()
 	if !gotRes.Relation.Equal(wantRes.Relation) {
@@ -114,8 +111,6 @@ func assertDeltaParity(t *testing.T, label string, wantRes, gotRes *Result, want
 	}
 	wantStats, gotStats := wantRes.Stats, gotRes.Stats
 	wantStats.Phases, gotStats.Phases = PhaseTimes{}, PhaseTimes{} // wall clock
-	wantStats.EngineCacheHits, gotStats.EngineCacheHits = 0, 0     // memo warmth
-	wantStats.EngineCacheMisses, gotStats.EngineCacheMisses = 0, 0
 	if !reflect.DeepEqual(gotStats, wantStats) {
 		t.Errorf("%s: stats diverged:\ngot:  %+v\nwant: %+v", label, gotStats, wantStats)
 	}

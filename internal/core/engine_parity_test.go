@@ -11,8 +11,8 @@ import (
 )
 
 // parityConfigs are the evaluation-engine configurations that must all
-// produce the same imputations: the engine's cache and index are pure
-// optimizations.
+// produce the same imputations: the engine's index is a pure
+// optimization.
 func parityConfigs() map[string][]Option {
 	return map[string][]Option{
 		"default":  nil,
@@ -131,22 +131,14 @@ func TestEngineParityTable2(t *testing.T) {
 
 // TestEngineParityWorkloads runs the two bench workloads (Table 2
 // replicated at scale; correlated numerics) through every configuration,
-// and checks that the engine's observability counters actually move:
-// the string workload must hit the distance cache, and the default
-// configuration must answer candidate probes from the index.
+// and checks that the engine's index counter actually moves: the
+// default configuration must answer candidate probes from the index.
 func TestEngineParityWorkloads(t *testing.T) {
 	srel, ssigma := engineBenchStrings(t, 12)
 	runParity(t, "strings", srel, ssigma)
 	nrel, nsigma := engineBenchNumeric(t, 120)
 	runParity(t, "numeric", nrel, nsigma)
 
-	res, err := New(ssigma).Impute(srel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.EngineCacheHits == 0 {
-		t.Error("string workload produced no distance-cache hits")
-	}
 	// Range probes are selective on the numeric workload (the string
 	// workload's near-uniform name lengths legitimately fall back to the
 	// sweep, which the selectivity guard is for).

@@ -121,10 +121,8 @@ const maxDonorTraces = 16
 
 // traceDonorEvents emits DonorConsidered events for the first
 // (ranked-best) candidates with each donor's per-attribute LHS
-// distances against the incomplete tuple. The lookups go through the
-// engine's memoized distance cache, so for traced cells the
-// per-attribute breakdown is a cache read of the distances the ranking
-// already computed, not a second Levenshtein pass.
+// distances against the incomplete tuple. Only sampled cells pay for
+// this second pass over the ranked candidates' LHS distances.
 func traceDonorEvents(ct *obs.CellTrace, v *engine.View, row int, deps rfd.Set,
 	n int, at func(k int) (flat int, score float64)) {
 

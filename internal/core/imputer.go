@@ -79,9 +79,11 @@ type Stats struct {
 	KeyFlips            int // key-RFDcs that became non-key mid-run
 	IndexHits           int // candidate scans answered by the donor index
 	IndexMisses         int // scans that fell back to the full sweep despite an index
-	EngineCacheHits     int // engine distance-cache lookups answered from memo
-	EngineCacheMisses   int // engine distance-cache lookups that computed fresh
-	EngineIndexProbes   int // engine candidate-index probes issued
+	// EngineCacheHits and EngineCacheMisses are always 0: the engine
+	// keeps no distance memo. The fields stay for readers of Stats.
+	EngineCacheHits   int
+	EngineCacheMisses int
+	EngineIndexProbes int // engine candidate-index probes issued
 	// ImputedByAttr counts successful imputations per attribute position
 	// (len = schema arity; nil when the run imputed nothing).
 	ImputedByAttr []int
@@ -116,8 +118,6 @@ func publishStats(rec obs.Recorder, s *Stats) {
 	rec.Add(obs.CtrKeyFlips, int64(s.KeyFlips))
 	rec.Add(obs.CtrIndexHits, int64(s.IndexHits))
 	rec.Add(obs.CtrIndexMisses, int64(s.IndexMisses))
-	rec.Add(obs.CtrEngineCacheHits, int64(s.EngineCacheHits))
-	rec.Add(obs.CtrEngineCacheMisses, int64(s.EngineCacheMisses))
 	rec.Add(obs.CtrEngineIndexProbes, int64(s.EngineIndexProbes))
 	rec.Time(obs.PhasePreprocess, s.Phases.Preprocess)
 	rec.Time(obs.PhaseCandidateSearch, s.Phases.CandidateSearch)

@@ -27,7 +27,7 @@ var kernelVariants = []struct {
 // runKernelParity imputes one workload under every kernel and fails
 // unless the imputations, final relation, full Stats (accuracy AND
 // scan-efficiency counters — the kernels share one dispatch path, so
-// even cache traffic must match), and trace JSONL bytes are identical.
+// even the scan counters must match), and trace JSONL bytes are identical.
 func runKernelParity(t *testing.T, label string, rel *dataset.Relation, sigma rfd.Set, opts ...Option) {
 	t.Helper()
 	type outcome struct {
@@ -62,7 +62,7 @@ func runKernelParity(t *testing.T, label string, rel *dataset.Relation, sigma rf
 			}
 		}
 		// The whole Stats struct except wall clock: kernels may differ in
-		// speed, never in what they scanned, cached, or rejected.
+		// speed, never in what they scanned or rejected.
 		rs, os := ref.res.Stats, o.res.Stats
 		rs.Phases, os.Phases = PhaseTimes{}, PhaseTimes{}
 		if !reflect.DeepEqual(rs, os) {

@@ -16,11 +16,10 @@ import (
 // Session is the compile-once serve-many form of the imputer: one
 // NewSession call validates Σ and the options and — when a base
 // instance is supplied — precompiles it into a shared engine artifact
-// (columnar form, interning tables, memoized distance cache). Every
-// subsequent Impute call then serves against those read-only artifacts
-// with only per-request state (a clone of the request relation, a
-// request-local column/interner tier, a request-local distance cache),
-// so concurrent calls never contend and per-call cost is O(request),
+// (columnar form and interning tables). Every subsequent Impute call
+// then serves against those read-only artifacts with only per-request
+// state (a clone of the request relation and a request-local
+// column/interner tier), so concurrent calls never contend and per-call cost is O(request),
 // not O(request + base).
 //
 // The two base modes:
@@ -120,8 +119,7 @@ func (s *Session) Sigma() rfd.Set { return s.sigmaAt(s.cur.Load()) }
 
 // BaseView returns a frozen read-only view over the precompiled base at
 // the current epoch — the input for running discovery against the base
-// without recompiling it — or nil in self-contained mode. Reads through
-// it warm the shared distance cache for every future Impute call.
+// without recompiling it — or nil in self-contained mode.
 func (s *Session) BaseView() *engine.View {
 	ep := s.cur.Load()
 	if ep == nil {
@@ -130,23 +128,10 @@ func (s *Session) BaseView() *engine.View {
 	return ep.shared.View()
 }
 
-// CacheShardStats returns the per-shard hit / miss / merge counters of
-// the current epoch's shared distance cache, or nil in self-contained
-// mode (ephemeral caches die with their request; there is nothing
-// long-lived to inspect).
-func (s *Session) CacheShardStats() []engine.CacheShardStat {
-	ep := s.cur.Load()
-	if ep == nil {
-		return nil
-	}
-	return ep.shared.CacheShardStats()
-}
-
 // Discover mines RFDcs from the session's precompiled base without
-// recompiling it; the pairwise distances it computes land in the shared
-// cache, so a Discover-then-serve flow starts Impute calls warm. Pair it
-// with WithSigma to serve the discovered set. Self-contained sessions
-// (nil base) have no instance to mine and return an error.
+// recompiling it. Pair it with WithSigma to serve the discovered set.
+// Self-contained sessions (nil base) have no instance to mine and
+// return an error.
 func (s *Session) Discover(ctx context.Context, cfg discovery.Config) (rfd.Set, error) {
 	ep := s.pin()
 	if ep == nil {

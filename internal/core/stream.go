@@ -23,9 +23,9 @@ import (
 //     and earlier cells that stayed missing can be retried with
 //     RetryMissing once new donors have accumulated.
 //
-// The session owns one engine view for its whole lifetime, so the
-// memoized distances survive across arrivals: a value pair compared when
-// tuple t arrived is a cache hit when tuple t' repeats it.
+// The session owns one engine view for its whole lifetime, so a value
+// is interned and decoded once, when the first tuple carrying it
+// arrives.
 type Stream struct {
 	im *Imputer
 	v  *engine.View
@@ -35,9 +35,6 @@ type Stream struct {
 	kt   *keyTracker
 	// stats accumulates over the stream's lifetime.
 	stats Stats
-	// cacheHits/cacheMisses checkpoint the view's cache counters so each
-	// per-cell Stats carries only that cell's delta.
-	cacheHits, cacheMisses int64
 }
 
 // NewStream starts an incremental session seeded with the base instance
@@ -129,15 +126,8 @@ func (s *Stream) RetryMissing() []Imputation {
 }
 
 // accumulate folds one per-cell run's counters into the stream totals
-// and forwards them to the configured recorder. The engine cache
-// counters are deltas against the previous checkpoint, since the view
-// (and its cache) is shared across the stream's lifetime.
+// and forwards them to the configured recorder.
 func (s *Stream) accumulate(res *Result) {
-	hits, misses := s.v.CacheStats()
-	res.Stats.EngineCacheHits = int(hits - s.cacheHits)
-	res.Stats.EngineCacheMisses = int(misses - s.cacheMisses)
-	s.cacheHits, s.cacheMisses = hits, misses
-
 	st := res.Stats
 	s.stats.DonorsScanned += st.DonorsScanned
 	s.stats.CandidatesEvaluated += st.CandidatesEvaluated
@@ -148,8 +138,6 @@ func (s *Stream) accumulate(res *Result) {
 	s.stats.ClustersScanned += st.ClustersScanned
 	s.stats.IndexHits += st.IndexHits
 	s.stats.IndexMisses += st.IndexMisses
-	s.stats.EngineCacheHits += st.EngineCacheHits
-	s.stats.EngineCacheMisses += st.EngineCacheMisses
 	for attr, n := range st.ImputedByAttr {
 		for i := 0; i < n; i++ {
 			s.stats.countImputed(attr, s.v.Arity())

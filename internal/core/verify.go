@@ -84,7 +84,7 @@ func (im *Imputer) relevantForVerify(sigmaPrime rfd.Set, attr int) rfd.Set {
 // match bitsets. A's own column is never needed. The plan records the
 // armed rows (those with at least one bound) and their bounds; a
 // candidate then costs one or two checks per armed row, through the
-// same Matcher, cache and kernels the scan uses, so the verdict is the
+// same Matcher and kernels the scan uses, so the verdict is the
 // literal scan's. The buffers are reused across the cells of a run; one
 // plan belongs to one run goroutine.
 type verifyPlan struct {

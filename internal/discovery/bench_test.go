@@ -16,8 +16,8 @@ import (
 
 // benchStringsRelation replicates Table 2 into a larger deterministic
 // instance (the strings-heavy discovery workload: Levenshtein-dominated
-// pattern materialization over repeated values, so the engine cache has
-// real reuse). Block suffixes keep Name values distinct across blocks.
+// pattern materialization over repeated values, so interning has real
+// reuse). Block suffixes keep Name values distinct across blocks.
 func benchStringsRelation(tb testing.TB, blocks int) *dataset.Relation {
 	tb.Helper()
 	base := []string{

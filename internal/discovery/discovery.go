@@ -50,7 +50,8 @@ type Config struct {
 	// MaxLHS bounds the LHS attribute-set size. Zero means 2.
 	MaxLHS int
 	// RHSGrid lists the candidate RHS thresholds, in any order (discovery
-	// sorts its own copy). Empty means the integers 0..MaxThreshold.
+	// sorts its own copy). Empty means the integers 0..MaxThreshold,
+	// and then MaxThreshold may be at most 65,535.
 	RHSGrid []float64
 	// MaxPairs caps how many tuple pairs are sampled for pattern
 	// materialization. Zero means all pairs. Sampling keeps discovery
@@ -91,6 +92,13 @@ func (c *Config) limitFor(attr int) float64 {
 	return math.Min(c.MaxThreshold, c.AttrLimits[attr])
 }
 
+// maxDefaultGridThreshold is the largest MaxThreshold the default RHS
+// grid accepts. That grid holds every integer 0..MaxThreshold and the
+// search walks all of them for every (RHS, LHS subset), so its cost
+// grows with the threshold whatever the data; 65,535 is 4,369 times the
+// paper's largest limit (15). A larger limit needs an explicit RHSGrid.
+const maxDefaultGridThreshold = 65535
+
 func (c *Config) normalize() error {
 	if c.MaxThreshold < 0 || math.IsNaN(c.MaxThreshold) || math.IsInf(c.MaxThreshold, 0) {
 		return fmt.Errorf("discovery: MaxThreshold must be finite and non-negative, got %v", c.MaxThreshold)
@@ -102,6 +110,10 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("discovery: negative MaxLHS %d", c.MaxLHS)
 	}
 	if len(c.RHSGrid) == 0 {
+		if c.MaxThreshold > maxDefaultGridThreshold {
+			return fmt.Errorf("discovery: MaxThreshold %v exceeds %d, the largest limit the default RHS grid (every integer 0..MaxThreshold) accepts; pass an explicit RHSGrid",
+				c.MaxThreshold, maxDefaultGridThreshold)
+		}
 		for b := 0.0; b <= c.MaxThreshold; b++ {
 			c.RHSGrid = append(c.RHSGrid, b)
 		}
@@ -133,9 +145,9 @@ func DiscoverContext(ctx context.Context, rel *dataset.Relation, cfg Config) (rf
 
 // DiscoverView runs discovery over an already-compiled engine view, so
 // callers that evaluate the same instance repeatedly (or concurrently)
-// share one columnar form and one memoized distance cache. View reads
-// are safe for concurrent use, so any number of DiscoverView calls may
-// run against the same view at once.
+// share one columnar form. View reads are safe for concurrent use, so
+// any number of DiscoverView calls may run against the same view at
+// once.
 func DiscoverView(v *engine.View, cfg Config) (rfd.Set, error) {
 	return DiscoverViewContext(context.Background(), v, cfg)
 }
@@ -198,9 +210,6 @@ func discover(ctx context.Context, v *engine.View, cfg Config, workers, band int
 	}
 	rec.Add(obs.CtrDiscoveryPatterns, int64(npat))
 	rec.Add(obs.CtrDiscoveryPatternPeakBytes, st.peakBytes)
-	hits, misses := v.CacheStats()
-	rec.Add(obs.CtrEngineCacheHits, hits)
-	rec.Add(obs.CtrEngineCacheMisses, misses)
 
 	searchStart := obs.Now(rec)
 	searchSpan := sp.Child("discovery_search")

@@ -276,11 +276,35 @@ func TestDiscoveryRejectsBadLimits(t *testing.T) {
 		{"threshold-negative", Config{MaxThreshold: -1}, "MaxThreshold"},
 		{"attr-limits-short", Config{MaxThreshold: 3, AttrLimits: []float64{1}}, "AttrLimits"},
 		{"attr-limits-long", Config{MaxThreshold: 3, AttrLimits: make([]float64, 6)}, "AttrLimits"},
+		// Past the default grid's bound: refused in normalize, before the
+		// grid (one entry per integer up to the limit) is built.
+		{"default-grid-limit+1", Config{MaxThreshold: maxDefaultGridThreshold + 1}, "RHSGrid"},
+		{"default-grid-1e7", Config{MaxThreshold: 1e7}, "RHSGrid"},
+		{"default-grid-1e300", Config{MaxThreshold: 1e300}, "RHSGrid"},
 	}
 	for _, c := range cases {
 		sigma, err := Discover(rel, c.cfg)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %d rules, err %v; want an error naming %s", c.name, len(sigma), err, c.want)
+		}
+	}
+
+	// The bound itself is accepted with its full default grid, and an
+	// explicit grid lifts the bound.
+	atLimit := Config{MaxThreshold: maxDefaultGridThreshold}
+	if err := atLimit.normalize(); err != nil || len(atLimit.RHSGrid) != maxDefaultGridThreshold+1 {
+		t.Errorf("MaxThreshold at the bound: err %v, grid of %d", err, len(atLimit.RHSGrid))
+	}
+	if _, err := Discover(rel, Config{MaxThreshold: 1e7, RHSGrid: []float64{0, 1, 2}}); err != nil {
+		t.Errorf("MaxThreshold 1e7 with an explicit grid: %v", err)
+	}
+	// A refusal builds no grid: the error value costs a few allocations,
+	// while appending even the bound's grid takes about 20 growths.
+	for _, th := range []float64{maxDefaultGridThreshold + 1, 1e7, 1e300} {
+		cfg := Config{MaxThreshold: th}
+		allocs := testing.AllocsPerRun(1, func() { _ = cfg.normalize() })
+		if cfg.RHSGrid != nil || allocs > 8 {
+			t.Errorf("refusing MaxThreshold %v built a grid of %d (%v allocs)", th, len(cfg.RHSGrid), allocs)
 		}
 	}
 

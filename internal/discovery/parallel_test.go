@@ -101,8 +101,7 @@ func assertSameRun(t *testing.T, label string, got, ref parityRun) {
 
 // assertGridParity: every cell of the workers x band-size grid of the
 // unexported entry point gives the set and rule_emitted stream of the
-// cell workers=1 band=1. Each cell compiles its own view, so no cell
-// reads a distance cache another one warmed.
+// cell workers=1 band=1. Each cell compiles its own view.
 func assertGridParity(t *testing.T, rel *dataset.Relation, cfg Config) {
 	t.Helper()
 	var ref parityRun
@@ -219,8 +218,8 @@ func TestAdaptiveLimitsWorkerParity(t *testing.T) {
 }
 
 // TestDiscoverViewSharedCache: concurrent DiscoverView calls over one
-// shared engine view (one distance cache) must race-cleanly produce the
-// same set as a private view. Run under -race via `make race`.
+// shared engine view must race-cleanly produce the same set as a
+// private view. Run under -race via `make race`.
 func TestDiscoverViewSharedCache(t *testing.T) {
 	rel := table4Relation(t)
 	want, err := Discover(rel, Config{MaxThreshold: 6})

@@ -9,10 +9,6 @@ package engine
 // rune slab starting at the running sum of lens — so the encoding is
 // deterministic and a decode reconstructs the pointer graph from
 // integers without chasing any serialized pointers.
-//
-// The distance cache is deliberately not serialized: it is a pure memo,
-// so a freshly loaded Shared starts cold and converges to the same
-// contents — and identical results — as a freshly compiled one.
 
 import (
 	"math"
@@ -149,8 +145,7 @@ func decodeInterner(c *artifact.Cursor) (*interner, error) {
 
 // DecodeShared reconstructs a compiled base — columns, interning
 // tables, and the backing relation — from an artifact's SecSchema,
-// SecColumns, and SecInterners sections. The distance cache starts
-// cold. Every structural cross-reference (kinds, interned ids, slab
+// SecColumns, and SecInterners sections. Every structural cross-reference (kinds, interned ids, slab
 // lengths) is validated, so a checksum-valid but semantically corrupt
 // artifact fails with a typed error instead of compiling an
 // inconsistent engine.
@@ -254,7 +249,7 @@ func DecodeShared(r *artifact.Reader) (*Shared, error) {
 			rel.Set(i, a, v)
 		}
 	}
-	return &Shared{rel: rel, n: n, m: m, cols: cols, interns: interns, cache: newDistCache()}, nil
+	return &Shared{rel: rel, n: n, m: m, cols: cols, interns: interns}, nil
 }
 
 // cellValue reconstructs the dataset.Value behind one columnar cell,

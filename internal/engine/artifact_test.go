@@ -57,8 +57,8 @@ func TestSharedRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Every pairwise distance must agree (the decoded cache starts cold
-	// and recomputes from the decoded runes).
+	// Every pairwise distance must agree (the decoded view computes from
+	// the decoded runes).
 	vw, vg := s.View(), got.View()
 	for a := 0; a < s.m; a++ {
 		for i := 0; i < s.n; i++ {

@@ -43,8 +43,7 @@ const memoSize = 128
 // limit must satisfy Exact. For every threshold th ≤ limit that
 // satisfies Exact, col[k] <= th is then Within(attr, q, lo+k, th), and
 // "present and > th" is the breach test on Distance. Strings run the
-// bounded kernel directly, behind the same length pre-filter as Within,
-// and never touch the distance cache.
+// bounded kernel directly, behind the same length pre-filter as Within.
 func (m *Matcher) Column(col []float64, attr, q, lo int, limit float64) {
 	v := m.v
 	cq, rq := v.colAt(attr, q)

@@ -23,12 +23,6 @@ type EvolveStats struct {
 	// CompactedAttrs is how many attributes had their interning table
 	// rebuilt with dense ids (dropping values no live row references).
 	CompactedAttrs int
-	// InvalidatedCacheShards is how many distance-cache shards held
-	// entries keyed by a compacted attribute and were therefore not
-	// carried into the new epoch's cache. Zero whenever no attribute
-	// compacted: the cache is keyed by interned ids, and an id-stable
-	// delta leaves every memoized pair valid.
-	InvalidatedCacheShards int
 }
 
 // flatClone copies a root interner for append-only extension by a
@@ -79,16 +73,13 @@ func setColCell(c *col, in *interner, row int, val dataset.Value) {
 // wherever the delta left it valid:
 //
 //   - interning tables are flat-cloned, so every string the instances
-//     share keeps its id and novel strings extend the id space;
-//   - because ids are stable, the memoized distance cache is carried
-//     into the new epoch as the same instance — concurrent old-epoch
-//     readers and new-epoch readers agree on every entry, the memo
-//     being pure over stable ids;
+//     share keeps its id and its pre-decoded runes, length and alphabet
+//     mask, and only novel strings are decoded; a delta thus costs no
+//     re-decode of the strings it did not touch;
 //   - when deletes leave an attribute's table mostly dead (see the
-//     compaction trigger above), that attribute is re-interned densely
-//     and, since its ids remapped, the new epoch gets a copied cache
-//     with exactly that attribute's entries dropped (withoutAttrs) —
-//     the old epoch keeps the old instance untouched.
+//     compaction trigger above), that attribute is re-interned densely,
+//     so the dead values' decoded forms do not outlive the rows that
+//     held them.
 //
 // The receiver is never mutated; any number of pinned readers may keep
 // using it. next must not be mutated after the call (it becomes the new
@@ -121,7 +112,6 @@ func (s *Shared) Evolve(next *dataset.Relation) (*Shared, EvolveStats, error) {
 	}
 
 	var st EvolveStats
-	var drop []bool
 	for a := 0; a < s.m; a++ {
 		in := out.interns[a]
 		distinct := len(in.strs)
@@ -149,16 +139,7 @@ func (s *Shared) Evolve(next *dataset.Relation) (*Shared, EvolveStats, error) {
 			}
 		}
 		out.interns[a] = fresh
-		if drop == nil {
-			drop = make([]bool, s.m)
-		}
-		drop[a] = true
 		st.CompactedAttrs++
-	}
-	if drop == nil {
-		out.cache = s.cache
-	} else {
-		out.cache, st.InvalidatedCacheShards = s.cache.withoutAttrs(drop)
 	}
 	return out, st, nil
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"testing"
@@ -65,9 +64,9 @@ func TestMatcherViewParity(t *testing.T) {
 	}
 }
 
-// TestMatcherSteadyStateZeroAlloc: once every distinct pair is
-// memoized, a Matcher's evaluations allocate nothing — the arena and
-// the frozen cache tier absorb all scratch state.
+// TestMatcherSteadyStateZeroAlloc: once its arena buffers are sized, a
+// Matcher's evaluations allocate nothing — the arena absorbs all
+// scratch state.
 func TestMatcherSteadyStateZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(12))
@@ -85,71 +84,9 @@ func TestMatcherSteadyStateZeroAlloc(t *testing.T) {
 			}
 		}
 	}
-	warm() // memoize every pair, size the arena buffers
-	warm() // force any pending frozen-tier merges with a second sweep
+	warm() // size the arena buffers
 	if avg := testing.AllocsPerRun(20, warm); avg != 0 {
 		t.Errorf("steady-state Matcher sweep allocates %.1f times per run, want 0", avg)
-	}
-}
-
-// TestCacheMergePublishes: the overflow tier folds into the frozen map
-// once it outgrows the merge threshold, and every entry stays readable
-// through the promotion in either key order.
-func TestCacheMergePublishes(t *testing.T) {
-	c := newDistCache()
-	const n = mergeFloor * numShards * 2 // enough that every shard merges
-	for i := 0; i < n; i++ {
-		c.put(0, int32(i), int32(i+1), int32(i%7))
-	}
-	frozenTotal := 0
-	for s := range c.shards {
-		if m := c.shards[s].frozen.Load(); m != nil {
-			frozenTotal += len(*m)
-		}
-	}
-	if frozenTotal == 0 {
-		t.Fatalf("no shard published a frozen tier after %d inserts", n)
-	}
-	for i := 0; i < n; i++ {
-		d, ok := c.get(0, int32(i+1), int32(i)) // reversed order must canonicalize
-		if !ok || d != int32(i%7) {
-			t.Fatalf("entry %d: got %d,%v want %d,true", i, d, ok, i%7)
-		}
-	}
-	hits, misses := c.stats()
-	if hits != n || misses != n {
-		t.Fatalf("stats = %d hits, %d misses; want %d, %d", hits, misses, n, n)
-	}
-}
-
-// TestCacheConcurrentMerge hammers one cache from writers and readers
-// at once so the race detector can watch the frozen-tier publication
-// (covered by the race make target).
-func TestCacheConcurrentMerge(t *testing.T) {
-	c := newDistCache()
-	const keys = 4096
-	errs := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		go func(seed int64) {
-			rng := rand.New(rand.NewSource(seed))
-			for iter := 0; iter < 20000; iter++ {
-				k := int32(rng.Intn(keys))
-				if d, ok := c.get(1, k, k+1); ok {
-					if d != k%5 {
-						errs <- fmt.Errorf("key %d: got %d, want %d", k, d, k%5)
-						return
-					}
-				} else {
-					c.put(1, k, k+1, k%5)
-				}
-			}
-			errs <- nil
-		}(int64(w))
-	}
-	for w := 0; w < 8; w++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

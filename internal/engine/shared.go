@@ -5,24 +5,19 @@ import (
 )
 
 // Shared is a compiled relation frozen for concurrent reuse: the
-// columnar form, the interning tables (with their pre-decoded rune
-// slices), and the memoized distance cache of one base instance,
-// compiled once and then shared read-only across any number of
-// concurrent evaluations — the compile-once serve-many artifact under
-// core.Session.
+// columnar form and the interning tables (with their pre-decoded rune
+// slices) of one base instance, compiled once and then shared read-only
+// across any number of concurrent evaluations — the compile-once
+// serve-many artifact under core.Session.
 //
 // Two consumers derive views from it:
 //
 //   - View() is a frozen single-relation view over the base itself —
-//     discovery and profiling run against it and warm the shared
-//     distance cache for everyone else;
+//     discovery and profiling run against it;
 //   - Extend(target) is a two-tier view: the target's rows are compiled
 //     into request-local columns (copy-on-write — novel strings intern
-//     into a local upper tier), while every base row, interned id, and
-//     memoized base-pair distance is shared. Distances between two base
-//     values read and write the shared cache, so the hit rate carries
-//     across requests; pairs involving request-local values stay in a
-//     request-local cache that dies with the view.
+//     into a local upper tier), while every base row and interned id is
+//     shared.
 //
 // The base relation must not be mutated after Precompile; callers that
 // cannot guarantee that should pass a clone.
@@ -32,13 +27,12 @@ type Shared struct {
 	m       int
 	cols    []col
 	interns []*interner
-	cache   *distCache
 }
 
 // Precompile compiles the base instance into a Shared.
 func Precompile(base *dataset.Relation) *Shared {
 	v := Compile(base)
-	return &Shared{rel: base, n: v.n, m: v.m, cols: v.cols, interns: v.interns, cache: v.cache}
+	return &Shared{rel: base, n: v.n, m: v.m, cols: v.cols, interns: v.interns}
 }
 
 // Relation returns the base instance. Callers must not mutate it.
@@ -50,17 +44,9 @@ func (s *Shared) Len() int { return s.n }
 // Arity returns the schema arity.
 func (s *Shared) Arity() int { return s.m }
 
-// CacheStats returns the shared distance cache's cumulative hit and
-// miss counts (across every view ever derived from this Shared).
-func (s *Shared) CacheStats() (hits, misses int64) { return s.cache.stats() }
-
-// CacheShardStats returns the shared distance cache's per-shard hit /
-// miss / merge counters, in shard order.
-func (s *Shared) CacheShardStats() []CacheShardStat { return s.cache.shardStats() }
-
 // View returns a frozen single-relation view over the base: reads are
-// safe for any number of concurrent users and hit the shared cache;
-// Set and Append panic — the base is immutable by contract.
+// safe for any number of concurrent users; Set and Append panic — the
+// base is immutable by contract.
 func (s *Shared) View() *View {
 	return &View{
 		rels:    []*dataset.Relation{s.rel},
@@ -69,23 +55,21 @@ func (s *Shared) View() *View {
 		m:       s.m,
 		cols:    s.cols,
 		interns: s.interns,
-		cache:   s.cache,
 		frozen:  true,
 	}
 }
 
 // Extend compiles the target relation into a two-tier view over
 // target rows followed by the base rows (the donor-pool layout of
-// CompileWithDonors), sharing the base's columns, interning tables, and
-// distance cache. Only the target's rows are compiled — O(target), not
+// CompileWithDonors), sharing the base's columns and interning tables.
+// Only the target's rows are compiled — O(target), not
 // O(target+base) — which is what makes a long-lived Session's per-call
 // cost independent of the base size. The target's schema must have the
 // base's arity (the caller validates full compatibility).
 //
 // The returned view is private to the caller: Set writes only the
-// target segment, novel strings intern into a view-local upper tier,
-// and base-pair distances are the only state written back to the
-// Shared (the memo is pure, so concurrent writers agree).
+// target segment and novel strings intern into a view-local upper
+// tier; nothing is written back to the Shared.
 func (s *Shared) Extend(target *dataset.Relation) *View {
 	tlen := target.Len()
 	v := &View{
@@ -95,11 +79,9 @@ func (s *Shared) Extend(target *dataset.Relation) *View {
 		m:       s.m,
 		cols:    make([]col, s.m),
 		interns: make([]*interner, s.m),
-		cache:   newDistCache(),
 		base:    s,
 		baseOff: tlen,
 	}
-	v.baseHits0, v.baseMisses0 = s.cache.stats()
 	for a := 0; a < s.m; a++ {
 		v.interns[a] = &interner{base: s.interns[a], nb: int32(len(s.interns[a].strs))}
 		v.cols[a] = col{

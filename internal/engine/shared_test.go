@@ -88,38 +88,6 @@ func TestFrozenViewRejectsWrites(t *testing.T) {
 	fv.Set(0, 0, dataset.Null)
 }
 
-// TestSharedCacheCarriesAcrossViews checks the amortization mechanism:
-// base-pair distances computed through one extended view are cache hits
-// for the next.
-func TestSharedCacheCarriesAcrossViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	base := randomMixedRelation(rng, 30)
-	shared := Precompile(base)
-
-	warm := shared.Extend(dataset.NewRelation(base.Schema()))
-	for i := warm.TargetLen(); i < warm.Len(); i++ {
-		for j := i + 1; j < warm.Len(); j++ {
-			warm.Distance(0, i, j)
-		}
-	}
-	_, missesAfterWarm := shared.CacheStats()
-
-	cold := shared.Extend(dataset.NewRelation(base.Schema()))
-	for i := cold.TargetLen(); i < cold.Len(); i++ {
-		for j := i + 1; j < cold.Len(); j++ {
-			cold.Distance(0, i, j)
-		}
-	}
-	if _, misses := shared.CacheStats(); misses != missesAfterWarm {
-		t.Fatalf("second view recomputed base pairs: misses %d -> %d", missesAfterWarm, misses)
-	}
-	localHits, _ := cold.cache.stats()
-	if localHits != 0 {
-		// Base-pair traffic must route to the shared cache, not the local one.
-		t.Fatalf("base-pair distances hit the local cache (%d hits)", localHits)
-	}
-}
-
 // TestExtendConcurrent exercises concurrent extended views reading
 // through the shared tier while interning novel local strings — the
 // serve-mode access pattern, run under -race.

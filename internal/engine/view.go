@@ -8,9 +8,6 @@
 //     columns with interned string values and pre-decoded rune slices,
 //     so equal interned values short-circuit to distance 0 and the
 //     banded Levenshtein kernel early-exits on length difference;
-//   - a memoized pairwise distance cache keyed on (attr, interned value
-//     pair), sharded for concurrent use from discovery workers and
-//     concurrent runs;
 //   - one Matcher API (Distance / Within / MatchesLHS / Violates /
 //     DistMin / PatternBetween) plus a generalized candidate Index.
 //
@@ -114,16 +111,11 @@ type View struct {
 	m       int                 // arity
 	cols    []col
 	interns []*interner
-	cache   *distCache
 
 	// Two-tier views (Shared.Extend): flat rows >= baseOff resolve into
 	// the shared base columns; cols above holds only the target segment.
 	base    *Shared
 	baseOff int
-	// Shared-cache checkpoint taken at Extend time, so CacheStats can
-	// report this view's own share of the shared traffic (approximate
-	// when views run concurrently).
-	baseHits0, baseMisses0 int64
 
 	// frozen marks a read-only view over a Shared base: Set and Append
 	// panic instead of corrupting state other views share.
@@ -155,7 +147,6 @@ func CompileWithDonors(rel *dataset.Relation, donors []*dataset.Relation) *View 
 		m:       m,
 		cols:    make([]col, m),
 		interns: make([]*interner, m),
-		cache:   newDistCache(),
 	}
 	v.offsets = make([]int, len(v.rels))
 	for s, r := range v.rels {
@@ -277,8 +268,8 @@ func (v *View) Append(t dataset.Tuple) error {
 // Distance returns the domain-appropriate distance between the cells at
 // (i, attr) and (j, attr), mirroring distance.Values exactly: Missing
 // when either side is null or the kinds are incomparable. Equal
-// interned strings short-circuit to 0; distinct pairs are answered by
-// the memoized cache.
+// interned strings short-circuit to 0; distinct pairs run the exact
+// kernel on their pre-decoded runes.
 func (v *View) Distance(attr, i, j int) float64 {
 	return v.distanceSC(nil, attr, i, j)
 }
@@ -312,44 +303,21 @@ func (v *View) distanceSC(sc *distance.Scratch, attr, i, j int) float64 {
 	}
 }
 
-// cacheOf routes an interned pair to the cache tier that owns it: pairs
-// of base-tier ids go to the shared base cache (so the memo carries
-// across every view of the same Shared), pairs involving a request-local
-// id stay in the view's own cache and die with it.
-func (v *View) cacheOf(attr int, a, b int32) *distCache {
-	if v.base != nil {
-		if nb := v.interns[attr].nb; a < nb && b < nb {
-			return v.base.cache
-		}
-	}
-	return v.cache
-}
-
-// stringDistance answers a distinct interned pair from the cache,
-// computing and memoizing on miss (through the caller's arena when one
-// is threaded in).
+// stringDistance computes the exact edit distance of a distinct
+// interned pair (through the caller's arena when one is threaded in).
 func (v *View) stringDistance(sc *distance.Scratch, attr int, a, b int32) float64 {
-	cache := v.cacheOf(attr, a, b)
-	if d, ok := cache.get(attr, a, b); ok {
-		return float64(d)
-	}
 	in := v.interns[attr]
-	var d int32
 	if sc != nil {
-		d = int32(sc.LevenshteinRunes(in.runesOf(a), in.runesOf(b)))
-	} else {
-		d = int32(distance.LevenshteinRunes(in.runesOf(a), in.runesOf(b)))
+		return float64(sc.LevenshteinRunes(in.runesOf(a), in.runesOf(b)))
 	}
-	cache.put(attr, a, b, d)
-	return float64(d)
+	return float64(distance.LevenshteinRunes(in.runesOf(a), in.runesOf(b)))
 }
 
 // Within reports whether Distance(attr, i, j) <= max, mirroring
 // distance.ValuesWithin: false when either side is null or the kinds
-// are incomparable. For strings it consults the cache first and falls
-// back to the bounded kernel — behind its length and alphabet-mask
-// pre-filters — without storing, so a failed threshold check never pays
-// for an exact distance.
+// are incomparable. For strings it runs the bounded kernel behind its
+// length and alphabet-mask pre-filters, so a failed threshold check
+// never pays for an exact distance.
 func (v *View) Within(attr, i, j int, max float64) bool {
 	return v.withinSC(nil, attr, i, j, max)
 }
@@ -379,12 +347,8 @@ func (v *View) withinSC(sc *distance.Scratch, attr, i, j int, max float64) bool 
 			// Edit distance is at least the length difference.
 			return false
 		}
-		if d, ok := v.cacheOf(attr, a, b).get(attr, a, b); ok {
-			return int(d) <= bound
-		}
-		// Miss: run the bounded kernel with the interned alphabet
-		// signatures, so the mask pre-filter costs two loads, not a
-		// rune scan.
+		// The interned alphabet signatures make the mask pre-filter two
+		// loads, not a rune scan.
 		if sc != nil {
 			return sc.WithinRunesMasked(in.runesOf(a), in.runesOf(b), in.maskOf(a), in.maskOf(b), bound)
 		}
@@ -476,20 +440,6 @@ func (v *View) PatternBetween(i, j int) distance.Pattern {
 	p := distance.NewPattern(v.m)
 	v.PatternInto(p, i, j)
 	return p
-}
-
-// CacheStats returns the distance cache's cumulative hit and miss
-// counts. For two-tier views this is the view's local traffic plus its
-// share of the shared base cache since the view was created (the share
-// is approximate when sibling views run concurrently).
-func (v *View) CacheStats() (hits, misses int64) {
-	hits, misses = v.cache.stats()
-	if v.base != nil {
-		bh, bm := v.base.cache.stats()
-		hits += bh - v.baseHits0
-		misses += bm - v.baseMisses0
-	}
-	return hits, misses
 }
 
 func abs(x int) int {

@@ -11,8 +11,8 @@ import (
 )
 
 // randomMixedRelation builds a relation exercising every comparison
-// class the view must mirror: strings (with repeats, so interning and
-// the cache matter), ints, floats, bools, nulls, and cross-kind cells
+// class the view must mirror: strings (with repeats, so interning
+// matters), ints, floats, bools, nulls, and cross-kind cells
 // within a column (incomparable pairs).
 func randomMixedRelation(rng *rand.Rand, n int) *dataset.Relation {
 	schema := dataset.NewSchema(
@@ -203,43 +203,9 @@ func TestViewDonorPool(t *testing.T) {
 	}
 }
 
-// TestViewCacheCounts: a repeated distinct string pair is computed once
-// and served from the cache afterwards; equal interned values never
-// touch the cache.
-func TestViewCacheCounts(t *testing.T) {
-	schema := dataset.NewSchema(dataset.Attribute{Name: "S", Kind: dataset.KindString})
-	rel := dataset.NewRelation(schema)
-	for _, s := range []string{"granita", "granite", "granita", "granite"} {
-		rel.MustAppend(dataset.Tuple{dataset.NewString(s)})
-	}
-	v := Compile(rel)
-	if d := v.Distance(0, 0, 2); d != 0 {
-		t.Fatalf("equal interned pair distance = %v", d)
-	}
-	if h, m := v.CacheStats(); h != 0 || m != 0 {
-		t.Fatalf("equal pair touched the cache: hits %d misses %d", h, m)
-	}
-	if d := v.Distance(0, 0, 1); d != 1 {
-		t.Fatalf("distinct pair distance = %v", d)
-	}
-	if h, m := v.CacheStats(); h != 0 || m != 1 {
-		t.Fatalf("after first distinct lookup: hits %d misses %d", h, m)
-	}
-	// Same value pair in either orientation is a hit.
-	if d := v.Distance(0, 2, 3); d != 1 {
-		t.Fatalf("repeat pair distance = %v", d)
-	}
-	if d := v.Distance(0, 3, 0); d != 1 {
-		t.Fatalf("reversed pair distance = %v", d)
-	}
-	if h, m := v.CacheStats(); h != 2 || m != 1 {
-		t.Fatalf("after repeats: hits %d misses %d", h, m)
-	}
-}
-
-// TestViewConcurrentReads: the sharded cache keeps concurrent evaluation
-// race-free and consistent with the scalar reference (run under -race in
-// the race target).
+// TestViewConcurrentReads: concurrent evaluation is race-free and
+// consistent with the scalar reference (run under -race in the race
+// target).
 func TestViewConcurrentReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rel := randomMixedRelation(rng, 16)

@@ -82,12 +82,6 @@ const (
 	// by the alphabet-mask pre-filter alone (also counted as early
 	// exits).
 	CtrLevenshteinMaskRejects
-	// CtrEngineCacheHits counts pairwise distance lookups answered by the
-	// evaluation engine's memoized cache.
-	CtrEngineCacheHits
-	// CtrEngineCacheMisses counts pairwise distance lookups the engine
-	// had to compute and store.
-	CtrEngineCacheMisses
 	// CtrEngineIndexProbes counts candidate-index probes (equality
 	// bucket, numeric range, or length bucket) answered by the engine.
 	CtrEngineIndexProbes
@@ -119,10 +113,6 @@ const (
 	// CtrDeltaSigmaTightened counts LHS tightenings the post-delta
 	// revalidation applied to Σ.
 	CtrDeltaSigmaTightened
-	// CtrDeltaCacheShardsInvalidated counts distance-cache shards a delta
-	// invalidated (only interner compactions remap ids; id-stable deltas
-	// invalidate nothing).
-	CtrDeltaCacheShardsInvalidated
 	// CtrInternersCompacted counts per-attribute interning tables rebuilt
 	// with dense ids because deletes left them mostly dead.
 	CtrInternersCompacted
@@ -162,8 +152,6 @@ var counterNames = [...]string{
 	CtrLevenshteinMyers:       "levenshtein_myers",
 	CtrLevenshteinBanded:      "levenshtein_banded",
 	CtrLevenshteinMaskRejects: "levenshtein_mask_rejects",
-	CtrEngineCacheHits:        "engine_cache_hits",
-	CtrEngineCacheMisses:      "engine_cache_misses",
 	CtrEngineIndexProbes:      "engine_index_probes",
 	CtrServeAccepted:          "serve_accepted",
 	CtrServeRejected:          "serve_rejected",
@@ -172,15 +160,14 @@ var counterNames = [...]string{
 
 	CtrDiscoveryPatternPeakBytes: "discovery_pattern_peak_bytes",
 
-	CtrDeltaApplied:                "delta_applied",
-	CtrDeltaRowsInserted:           "delta_rows_inserted",
-	CtrDeltaRowsUpdated:            "delta_rows_updated",
-	CtrDeltaRowsDeleted:            "delta_rows_deleted",
-	CtrDeltaSigmaDropped:           "delta_sigma_dropped",
-	CtrDeltaSigmaTightened:         "delta_sigma_tightened",
-	CtrDeltaCacheShardsInvalidated: "delta_cache_shards_invalidated",
-	CtrInternersCompacted:          "interners_compacted",
-	CtrEpochsRetired:               "epochs_retired",
+	CtrDeltaApplied:        "delta_applied",
+	CtrDeltaRowsInserted:   "delta_rows_inserted",
+	CtrDeltaRowsUpdated:    "delta_rows_updated",
+	CtrDeltaRowsDeleted:    "delta_rows_deleted",
+	CtrDeltaSigmaDropped:   "delta_sigma_dropped",
+	CtrDeltaSigmaTightened: "delta_sigma_tightened",
+	CtrInternersCompacted:  "interners_compacted",
+	CtrEpochsRetired:       "epochs_retired",
 
 	CtrVerifyPlans:     "verify_plans",
 	CtrVerifyArmedRows: "verify_armed_rows",
@@ -327,8 +314,6 @@ var counterHelp = [...]string{
 	CtrLevenshteinMyers:       "Edit-distance computations answered by the bit-parallel Myers kernel.",
 	CtrLevenshteinBanded:      "Edit-distance computations that ran the banded dynamic program.",
 	CtrLevenshteinMaskRejects: "Bounded-predicate calls rejected by the alphabet-mask pre-filter alone.",
-	CtrEngineCacheHits:        "Pairwise distance lookups answered by the engine's memoized cache.",
-	CtrEngineCacheMisses:      "Pairwise distance lookups the engine had to compute and store.",
 	CtrEngineIndexProbes:      "Candidate-index probes answered by the engine.",
 	CtrServeAccepted:          "Requests admitted by the serve-mode gate.",
 	CtrServeRejected:          "Requests shed with 429 because the admission queue was full.",
@@ -337,15 +322,14 @@ var counterHelp = [...]string{
 
 	CtrDiscoveryPatternPeakBytes: "Accumulated per-run peak pattern-storage bytes during discovery.",
 
-	CtrDeltaApplied:                "ApplyDelta calls that published a new epoch.",
-	CtrDeltaRowsInserted:           "Tuples inserted by applied deltas.",
-	CtrDeltaRowsUpdated:            "Cell updates applied by deltas.",
-	CtrDeltaRowsDeleted:            "Rows deleted by applied deltas.",
-	CtrDeltaSigmaDropped:           "Dependencies dropped from Sigma by post-delta revalidation.",
-	CtrDeltaSigmaTightened:         "LHS tightenings applied to Sigma by post-delta revalidation.",
-	CtrDeltaCacheShardsInvalidated: "Distance-cache shards invalidated by deltas.",
-	CtrInternersCompacted:          "Per-attribute interning tables rebuilt with dense ids after deletes.",
-	CtrEpochsRetired:               "Superseded epochs whose last pinned reader finished.",
+	CtrDeltaApplied:        "ApplyDelta calls that published a new epoch.",
+	CtrDeltaRowsInserted:   "Tuples inserted by applied deltas.",
+	CtrDeltaRowsUpdated:    "Cell updates applied by deltas.",
+	CtrDeltaRowsDeleted:    "Rows deleted by applied deltas.",
+	CtrDeltaSigmaDropped:   "Dependencies dropped from Sigma by post-delta revalidation.",
+	CtrDeltaSigmaTightened: "LHS tightenings applied to Sigma by post-delta revalidation.",
+	CtrInternersCompacted:  "Per-attribute interning tables rebuilt with dense ids after deletes.",
+	CtrEpochsRetired:       "Superseded epochs whose last pinned reader finished.",
 
 	CtrVerifyPlans:     "Missing cells whose IS_FAULTLESS witness rows were planned once for all candidates.",
 	CtrVerifyArmedRows: "Target rows armed as potential IS_FAULTLESS witnesses by verify plans.",

@@ -19,18 +19,19 @@ func TestCounterAddAndSnapshot(t *testing.T) {
 	if got := m.Counter(CtrCandidatesEvaluated); got != 7 {
 		t.Fatalf("counter = %d, want 7", got)
 	}
-	m.Add(CtrEngineCacheHits, 9)
-	m.Add(CtrEngineCacheMisses, 4)
+	m.Add(CtrVerifyPlans, 9)
+	m.Add(CtrVerifyArmedRows, 4)
 	m.Add(CtrEngineIndexProbes, 2)
 	s := m.Snapshot()
 	if s.Counters["candidates_evaluated"] != 7 || s.Counters["faultless_checks"] != 1 {
 		t.Fatalf("snapshot counters = %v", s.Counters)
 	}
-	// The engine counters flow into the snapshot under their wire names.
-	if s.Counters["engine_cache_hits"] != 9 ||
-		s.Counters["engine_cache_misses"] != 4 ||
+	// The verify-plan and engine counters flow into the snapshot under
+	// their wire names.
+	if s.Counters["verify_plans"] != 9 ||
+		s.Counters["verify_armed_rows"] != 4 ||
 		s.Counters["engine_index_probes"] != 2 {
-		t.Fatalf("snapshot engine counters = %v", s.Counters)
+		t.Fatalf("snapshot verify/engine counters = %v", s.Counters)
 	}
 	// Every counter name must be present, even untouched ones.
 	if len(s.Counters) != numCounters {

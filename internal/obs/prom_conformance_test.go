@@ -136,8 +136,7 @@ func TestPrometheusConformance(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"renuver_phase_seconds_total", "renuver_phase_events_total",
-		"renuver_http_request_micros", "renuver_build_info",
-		"renuver_engine_cache_shard_hits_total", "renuver_engine_cache_shard_merges_total"} {
+		"renuver_http_request_micros", "renuver_build_info", "renuver_session_epoch"} {
 		if families[name] == nil {
 			t.Errorf("family %s missing", name)
 		}

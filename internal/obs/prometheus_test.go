@@ -11,8 +11,8 @@ import (
 func TestWritePrometheus(t *testing.T) {
 	m := NewMetrics()
 	m.Add(CtrImputations, 3)
-	m.Add(CtrEngineCacheHits, 7)
-	m.Add(CtrEngineCacheMisses, 2)
+	m.Add(CtrLevenshteinCalls, 7)
+	m.Add(CtrLevenshteinMyers, 2)
 	m.Add(CtrEngineIndexProbes, 5)
 	m.Time(PhaseVerify, 1500*time.Microsecond)
 	m.Observe(HistAttemptsPerImputation, 1)
@@ -27,9 +27,9 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE renuver_imputations_total counter",
 		"renuver_imputations_total 3",
-		"# TYPE renuver_engine_cache_hits_total counter",
-		"renuver_engine_cache_hits_total 7",
-		"renuver_engine_cache_misses_total 2",
+		"# TYPE renuver_levenshtein_calls_total counter",
+		"renuver_levenshtein_calls_total 7",
+		"renuver_levenshtein_myers_total 2",
 		"renuver_engine_index_probes_total 5",
 		`renuver_phase_seconds_total{phase="verify"} 0.0015`,
 		`renuver_phase_events_total{phase="verify"} 1`,

@@ -1,8 +1,8 @@
 package obs
 
 // The Metrics enums deliberately cover only process-wide scalars; serve
-// mode also needs labeled families (per-route latency, per-shard cache
-// state, a build-info gauge) whose label sets are only known at startup.
+// mode also needs labeled families (per-route latency, a build-info
+// gauge) whose label sets are only known at startup.
 // Rather than growing the enum into a string-keyed registry — and
 // giving up its single-atomic record path — labeled families implement
 // the small Collector interface and a Registry composes them with a
@@ -265,56 +265,4 @@ func (g *FuncGauge) AppendPrometheus(sb *strings.Builder) {
 // SnapshotEntry implements Collector: the current value.
 func (g *FuncGauge) SnapshotEntry() (string, any) {
 	return g.name, g.fn()
-}
-
-// ---- per-shard cache stats ----------------------------------------------
-
-// ShardStat is one cache shard's counters, as exposed on /metrics. The
-// engine package defines its own identical struct — it predates obs in
-// the dependency order — and serve adapts between them.
-type ShardStat struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Merges int64 `json:"merges"`
-}
-
-// ShardStatsCollector exposes a sharded cache's per-shard hit / miss /
-// overflow-merge counters, labeled by shard index — the distribution
-// view that replaces the old global pair of counters: shard skew (a hot
-// shard, a cold hash) is invisible in a sum.
-type ShardStatsCollector struct {
-	name string // family prefix, e.g. "engine_cache_shard"
-	fn   func() []ShardStat
-}
-
-// NewShardStatsCollector wires a snapshot closure (called per scrape)
-// into the exposition under renuver_<name>_{hits,misses,merges}_total.
-func NewShardStatsCollector(name string, fn func() []ShardStat) *ShardStatsCollector {
-	return &ShardStatsCollector{name: name, fn: fn}
-}
-
-// AppendPrometheus implements Collector.
-func (c *ShardStatsCollector) AppendPrometheus(sb *strings.Builder) {
-	stats := c.fn()
-	families := []struct {
-		suffix string
-		help   string
-		get    func(ShardStat) int64
-	}{
-		{"hits_total", "Cache lookups answered per shard.", func(s ShardStat) int64 { return s.Hits }},
-		{"misses_total", "Cache lookups computed and stored per shard.", func(s ShardStat) int64 { return s.Misses }},
-		{"merges_total", "Overflow-tier merges into the frozen tier per shard.", func(s ShardStat) int64 { return s.Merges }},
-	}
-	for _, f := range families {
-		name := promName(c.name + "_" + f.suffix)
-		promHeader(sb, name, "counter", f.help)
-		for i, s := range stats {
-			fmt.Fprintf(sb, "%s{shard=\"%d\"} %d\n", name, i, f.get(s))
-		}
-	}
-}
-
-// SnapshotEntry implements Collector: the raw per-shard slice.
-func (c *ShardStatsCollector) SnapshotEntry() (string, any) {
-	return c.name + "s", c.fn()
 }

@@ -16,9 +16,8 @@ func testRegistry() (*Registry, *HistVec) {
 	reg.Register(vec)
 	reg.Register(NewConstGauge("build_info", "Build metadata.", 1,
 		Label{"version", "test"}, Label{"goversion", "go1.x"}))
-	reg.Register(NewShardStatsCollector("engine_cache_shard", func() []ShardStat {
-		return []ShardStat{{Hits: 10, Misses: 2, Merges: 1}, {Hits: 4, Misses: 1, Merges: 0}}
-	}))
+	reg.Register(NewFuncGauge("session_epoch", "Current live-session epoch.",
+		func() float64 { return 3 }))
 	return reg, vec
 }
 
@@ -72,10 +71,9 @@ func TestRegistryPrometheusComposition(t *testing.T) {
 		`renuver_http_request_micros_count{route="v1/explain"} 0`,
 		"# TYPE renuver_build_info gauge",
 		`renuver_build_info{version="test",goversion="go1.x"} 1`,
-		"# TYPE renuver_engine_cache_shard_hits_total counter",
-		`renuver_engine_cache_shard_hits_total{shard="0"} 10`,
-		`renuver_engine_cache_shard_misses_total{shard="1"} 1`,
-		`renuver_engine_cache_shard_merges_total{shard="0"} 1`,
+		"# HELP renuver_session_epoch Current live-session epoch.",
+		"# TYPE renuver_session_epoch gauge",
+		"renuver_session_epoch 3",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
@@ -102,7 +100,7 @@ func TestRegistrySnapshotExtra(t *testing.T) {
 	if doc.Counters["imputations"] != 2 {
 		t.Fatalf("core counters not merged: %v", doc.Counters)
 	}
-	for _, key := range []string{"http_request_micros", "build_info", "engine_cache_shards"} {
+	for _, key := range []string{"http_request_micros", "build_info", "session_epoch"} {
 		if _, ok := doc.Extra[key]; !ok {
 			t.Errorf("extra section missing %q: %v", key, doc.Extra)
 		}

@@ -6,7 +6,7 @@ package obs
 // request went* — the root HTTP request, the Impute run under it, every
 // imputed cell, and the candidate_search / ranking / verify phases
 // inside each cell, each with a start/end window and typed attributes
-// (donor-pool size, candidate count, cache hit/miss deltas).
+// (donor-pool size, candidate count, imputed or not).
 //
 // Design rules, shared with the rest of the package:
 //
@@ -284,7 +284,7 @@ type Span struct {
 }
 
 // Enabled reports whether the span records anything. Callers use it to
-// skip attribute preparation (e.g. cache-stat deltas) when disabled.
+// skip attribute preparation (e.g. formatting a name) when disabled.
 func (s Span) Enabled() bool { return s.t != nil }
 
 // Trace returns the owning trace, nil for the zero Span.

@@ -21,7 +21,6 @@ package renuver
 import (
 	"context"
 	"io"
-	"net/http"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/dc"
 	"repro/internal/discovery"
-	"repro/internal/distance"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/impute"
@@ -216,21 +214,6 @@ type (
 	MetricsRecorder = obs.Metrics
 	// MetricsSnapshot is a point-in-time copy of a MetricsRecorder.
 	MetricsSnapshot = obs.Snapshot
-	// Counter identifies one aggregate counter of a MetricsRecorder.
-	Counter = obs.Counter
-	// Histogram identifies one distribution metric of a MetricsRecorder.
-	Histogram = obs.Hist
-)
-
-// Serve-mode metrics: the admission-gate counters and the queue
-// distributions `renuver serve` records into its recorder.
-const (
-	CtrServeAccepted         = obs.CtrServeAccepted
-	CtrServeRejected         = obs.CtrServeRejected
-	CtrServeTimeouts         = obs.CtrServeTimeouts
-	CtrServePanics           = obs.CtrServePanics
-	HistServeQueueDepth      = obs.HistServeQueueDepth
-	HistServeQueueWaitMicros = obs.HistServeQueueWaitMicros
 )
 
 // HistogramSnapshot is one histogram's point-in-time state, including
@@ -240,9 +223,9 @@ type HistogramSnapshot = obs.HistSnapshot
 // Request-scoped span telemetry. A serve-mode middleware (or any caller)
 // opens a RequestTrace with StartRequest; spans started from the
 // returned context nest under it, and finished traces land in a bounded
-// SpanRing served by SpansHandler (`/debug/spans`). On a context without
-// a trace every span operation is an inert nil check — the disabled
-// path allocates nothing.
+// SpanRing (`renuver serve` exposes it as `/debug/spans`). On a context
+// without a trace every span operation is an inert nil check — the
+// disabled path allocates nothing.
 type (
 	// Span is one timed operation inside a RequestTrace. The zero Span is
 	// valid and disabled.
@@ -284,61 +267,6 @@ func ContextWithSpan(ctx context.Context, s Span) context.Context {
 	return obs.ContextWithSpan(ctx, s)
 }
 
-// SpansHandler serves the ring's retained traces as JSON span trees —
-// the `/debug/spans` endpoint of `renuver serve` (404 on a nil ring).
-func SpansHandler(ring *SpanRing) http.Handler { return obs.SpansHandler(ring) }
-
-// Labeled metric families and the registry composing them with a
-// MetricsRecorder into one /metrics surface (JSON and Prometheus).
-type (
-	// MetricsRegistry composes a MetricsRecorder with labeled collectors.
-	MetricsRegistry = obs.Registry
-	// MetricsCollector is one extra family in a MetricsRegistry.
-	MetricsCollector = obs.Collector
-	// HistVec is a fixed-label-set histogram family (per-route latency).
-	HistVec = obs.HistVec
-	// ConstGauge is a constant info gauge (renuver_build_info).
-	ConstGauge = obs.ConstGauge
-	// MetricLabel is one key/value pair on a ConstGauge.
-	MetricLabel = obs.Label
-	// ShardStat is one cache shard's counters as exposed on /metrics.
-	ShardStat = obs.ShardStat
-	// CacheShardStat is the engine-side form of ShardStat, returned by
-	// Session.CacheShardStats.
-	CacheShardStat = engine.CacheShardStat
-)
-
-// NewMetricsRegistry wraps a MetricsRecorder (nil = a fresh one).
-func NewMetricsRegistry(m *MetricsRecorder) *MetricsRegistry { return obs.NewRegistry(m) }
-
-// NewHistVec builds a histogram family with one series per label value;
-// the label set is frozen at construction.
-func NewHistVec(name, help, labelKey string, labels []string, bounds []float64) *HistVec {
-	return obs.NewHistVec(name, help, labelKey, labels, bounds)
-}
-
-// NewConstGauge builds a constant gauge whose payload is its labels.
-func NewConstGauge(name, help string, value float64, labels ...MetricLabel) *ConstGauge {
-	return obs.NewConstGauge(name, help, value, labels...)
-}
-
-// NewFuncGauge builds a gauge whose value is read from fn at every
-// scrape — e.g. the live-session epoch `renuver serve` exports.
-func NewFuncGauge(name, help string, fn func() float64) *obs.FuncGauge {
-	return obs.NewFuncGauge(name, help, fn)
-}
-
-// NewShardStatsCollector exposes a sharded cache's per-shard counters,
-// labeled by shard index, under renuver_<name>_{hits,misses,merges}_total.
-func NewShardStatsCollector(name string, fn func() []ShardStat) *obs.ShardStatsCollector {
-	return obs.NewShardStatsCollector(name, fn)
-}
-
-// ActiveKernelName names the Levenshtein kernel currently selected
-// process-wide ("auto", "myers", "banded") — the build-info metric's
-// kernel label.
-func ActiveKernelName() string { return distance.ActiveKernel().String() }
-
 // Provenance tracing. A Tracer records per-cell decision traces —
 // which donors were considered at what Eq. 2 distance, which RFDc vetoed
 // a candidate (with the witness tuple), and why each cell resolved the
@@ -377,10 +305,6 @@ const (
 // deterministically (<=1 = every cell).
 func NewRingTracer(capacity, sample int) *RingTracer { return obs.NewRingTracer(capacity, sample) }
 
-// TraceHandler serves the most recent cell trace as a JSON array — the
-// `/trace/last` endpoint of `renuver serve`.
-func TraceHandler(t *RingTracer) http.Handler { return obs.TraceHandler(t) }
-
 // NewMetricsRecorder returns an empty metrics sink, safe for concurrent
 // runs.
 func NewMetricsRecorder() *MetricsRecorder { return obs.NewMetrics() }
@@ -393,13 +317,6 @@ func GlobalMetrics() *MetricsRecorder { return obs.Global() }
 // SetGlobalMetricsEnabled turns the process-wide sink on or off. Off by
 // default: the disabled hot path costs a single atomic load.
 func SetGlobalMetricsEnabled(on bool) { obs.SetGlobalEnabled(on) }
-
-// MetricsHandler serves a JSON snapshot of the recorder (expvar-style).
-func MetricsHandler(m *MetricsRecorder) http.Handler { return obs.Handler(m) }
-
-// MountDebugHandlers attaches the net/http/pprof endpoints under
-// /debug/pprof/ on the mux.
-func MountDebugHandlers(mux *http.ServeMux) { obs.MountDebug(mux) }
 
 // Cluster traversal orders and verification modes.
 const (
@@ -414,10 +331,10 @@ const (
 func NewImputer(sigma RFDSet, opts ...Option) *Imputer { return core.New(sigma, opts...) }
 
 // Session is the compile-once serve-many form of the imputer: construct
-// it once over a base instance (compiling columnar form, interning
-// tables, and the memoized distance cache up front), then serve any
-// number of concurrent Impute / Explain / Discover calls against the
-// shared read-only artifacts. See internal/core.Session for the full
+// it once over a base instance (compiling its columnar form and
+// interning tables up front), then serve any number of concurrent
+// Impute / Explain / Discover calls against the shared read-only
+// artifacts. See internal/core.Session for the full
 // contract.
 type Session = core.Session
 
@@ -448,8 +365,8 @@ type (
 	// CellUpdate assigns one value to one existing cell.
 	CellUpdate = core.CellUpdate
 	// DeltaResult reports what one ApplyDelta published: the new epoch,
-	// row count, applied mutation counts, and the Σ repairs and cache
-	// invalidation the delta caused.
+	// row count, applied mutation counts, and the Σ repairs and interner
+	// compactions the delta caused.
 	DeltaResult = core.DeltaResult
 )
 
