@@ -98,4 +98,10 @@ func TestRunBadConfig(t *testing.T) {
 	if err := run(options{in: in, threshold: -5}, os.Stdout); err == nil {
 		t.Error("negative threshold accepted")
 	}
+	// Past the default β grid's limit: a -threshold error, not the
+	// library's advice to pass an RHSGrid, which no flag sets.
+	err := run(options{in: in, threshold: 1e7}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "-threshold 1e+07 exceeds 65535") || strings.Contains(err.Error(), "RHSGrid") {
+		t.Errorf("threshold 1e7: %v, want the -threshold error", err)
+	}
 }

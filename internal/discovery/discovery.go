@@ -92,12 +92,12 @@ func (c *Config) limitFor(attr int) float64 {
 	return math.Min(c.MaxThreshold, c.AttrLimits[attr])
 }
 
-// maxDefaultGridThreshold is the largest MaxThreshold the default RHS
+// MaxDefaultGridThreshold is the largest MaxThreshold the default RHS
 // grid accepts. That grid holds every integer 0..MaxThreshold and the
 // search walks all of them for every (RHS, LHS subset), so its cost
 // grows with the threshold whatever the data; 65,535 is 4,369 times the
 // paper's largest limit (15). A larger limit needs an explicit RHSGrid.
-const maxDefaultGridThreshold = 65535
+const MaxDefaultGridThreshold = 65535
 
 func (c *Config) normalize() error {
 	if c.MaxThreshold < 0 || math.IsNaN(c.MaxThreshold) || math.IsInf(c.MaxThreshold, 0) {
@@ -110,9 +110,9 @@ func (c *Config) normalize() error {
 		return fmt.Errorf("discovery: negative MaxLHS %d", c.MaxLHS)
 	}
 	if len(c.RHSGrid) == 0 {
-		if c.MaxThreshold > maxDefaultGridThreshold {
+		if c.MaxThreshold > MaxDefaultGridThreshold {
 			return fmt.Errorf("discovery: MaxThreshold %v exceeds %d, the largest limit the default RHS grid (every integer 0..MaxThreshold) accepts; pass an explicit RHSGrid",
-				c.MaxThreshold, maxDefaultGridThreshold)
+				c.MaxThreshold, MaxDefaultGridThreshold)
 		}
 		for b := 0.0; b <= c.MaxThreshold; b++ {
 			c.RHSGrid = append(c.RHSGrid, b)
@@ -278,52 +278,50 @@ func samplePairs(n, maxPairs int, seed int64) [][2]int {
 	return out
 }
 
-// greedyAdvance folds a batch of violating patterns into the running
-// threshold vector th (len(lhs)): every violating pattern must fail at
-// least one LHS constraint, and the cheapest cut (the attribute with
-// the largest distance) is taken each time. It returns false when no
-// threshold vector works (some violating pair is identical on every
-// LHS attribute).
-//
-// Because thresholds only ever decrease, a pattern that fails the
-// current constraints also fails all later ones, so a single pass is
-// exact — and the fold can be resumed: feeding order[prev:cut] batches
-// for descending β yields, at each boundary, exactly the vector a
-// from-scratch pass over order[:cut] would produce (see deriveSubset).
-func greedyAdvance(st *patStore, violating []int, lhs []int, th []float64) bool {
-	for _, idx := range violating {
-		satisfied := true
-		for i, a := range lhs {
-			d := st.at(idx, a)
-			if distance.IsMissing(d) || d > th[i] {
-				satisfied = false
-				break
-			}
-		}
-		if !satisfied {
-			continue
-		}
-		// Cut the pair on the attribute with the largest distance — the
-		// cheapest cut, keeping the other thresholds as loose as possible.
-		best, bestD := -1, -1.0
-		for i, a := range lhs {
-			if d := st.at(idx, a); d > bestD {
-				best, bestD = i, d
-			}
-		}
-		if bestD <= 0 {
-			return false // identical on all LHS attributes yet violating
-		}
-		// Largest integer grid value strictly below bestD.
-		next := math.Ceil(bestD) - 1
-		if next >= bestD { // bestD was integral
-			next = bestD - 1
-		}
-		if next < 0 {
+// fits reports whether pattern k satisfies every LHS constraint: each
+// distance is present and at most its threshold in th (len(lhs)).
+func fits(st *patStore, k int, lhs []int, th []float64) bool {
+	for i, a := range lhs {
+		if d := st.at(k, a); distance.IsMissing(d) || d > th[i] {
 			return false
 		}
-		th[best] = next
 	}
+	return true
+}
+
+// cutPattern folds one violating pattern that satisfies the running
+// threshold vector th (len(lhs)) into it: the pattern must fail at
+// least one LHS constraint, and the cheapest cut (the attribute with
+// the largest distance) is taken. It returns false when no threshold
+// vector works (the pair is identical on every LHS attribute).
+//
+// Because thresholds only ever decrease, a pattern that fails the
+// current constraints also fails all later ones, so a single pass over
+// the violating patterns, cutting each one that still fits, is exact —
+// and the fold can be resumed: feeding the patterns of order[prev:cut]
+// for descending β yields, at each boundary, exactly the vector a
+// from-scratch pass over order[:cut] would produce (see deriveSubset).
+func cutPattern(st *patStore, idx int, lhs []int, th []float64) bool {
+	// Cut the pair on the attribute with the largest distance — the
+	// cheapest cut, keeping the other thresholds as loose as possible.
+	best, bestD := -1, -1.0
+	for i, a := range lhs {
+		if d := st.at(idx, a); d > bestD {
+			best, bestD = i, d
+		}
+	}
+	if bestD <= 0 {
+		return false // identical on all LHS attributes yet violating
+	}
+	// Largest integer grid value strictly below bestD.
+	next := math.Ceil(bestD) - 1
+	if next >= bestD { // bestD was integral
+		next = bestD - 1
+	}
+	if next < 0 {
+		return false
+	}
+	th[best] = next
 	return true
 }
 
@@ -332,49 +330,11 @@ func greedyAdvance(st *patStore, violating []int, lhs []int, th []float64) bool 
 func support(st *patStore, lhs []int, th []float64) int {
 	count := 0
 	for k := 0; k < st.n; k++ {
-		ok := true
-		for i, a := range lhs {
-			d := st.at(k, a)
-			if distance.IsMissing(d) || d > th[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if fits(st, k, lhs, th) {
 			count++
 		}
 	}
 	return count
-}
-
-// supportAtLeast reports whether at least min sampled patterns satisfy
-// every LHS constraint, stopping at the min-th witness. The lattice
-// search only needs the MinSupport comparison, not the exact count, so
-// this early exit replaces a full pattern sweep per candidate (the
-// exact count is still computed — once per surviving rule — for the
-// rule_emitted provenance events).
-func supportAtLeast(st *patStore, lhs []int, th []float64, min int) bool {
-	if min <= 0 {
-		return true
-	}
-	count := 0
-	for k := 0; k < st.n; k++ {
-		ok := true
-		for i, a := range lhs {
-			d := st.at(k, a)
-			if distance.IsMissing(d) || d > th[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			count++
-			if count >= min {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // enumerateSubsets lists the non-empty subsets of pool with at most k

@@ -278,7 +278,7 @@ func TestDiscoveryRejectsBadLimits(t *testing.T) {
 		{"attr-limits-long", Config{MaxThreshold: 3, AttrLimits: make([]float64, 6)}, "AttrLimits"},
 		// Past the default grid's bound: refused in normalize, before the
 		// grid (one entry per integer up to the limit) is built.
-		{"default-grid-limit+1", Config{MaxThreshold: maxDefaultGridThreshold + 1}, "RHSGrid"},
+		{"default-grid-limit+1", Config{MaxThreshold: MaxDefaultGridThreshold + 1}, "RHSGrid"},
 		{"default-grid-1e7", Config{MaxThreshold: 1e7}, "RHSGrid"},
 		{"default-grid-1e300", Config{MaxThreshold: 1e300}, "RHSGrid"},
 	}
@@ -291,8 +291,8 @@ func TestDiscoveryRejectsBadLimits(t *testing.T) {
 
 	// The bound itself is accepted with its full default grid, and an
 	// explicit grid lifts the bound.
-	atLimit := Config{MaxThreshold: maxDefaultGridThreshold}
-	if err := atLimit.normalize(); err != nil || len(atLimit.RHSGrid) != maxDefaultGridThreshold+1 {
+	atLimit := Config{MaxThreshold: MaxDefaultGridThreshold}
+	if err := atLimit.normalize(); err != nil || len(atLimit.RHSGrid) != MaxDefaultGridThreshold+1 {
 		t.Errorf("MaxThreshold at the bound: err %v, grid of %d", err, len(atLimit.RHSGrid))
 	}
 	if _, err := Discover(rel, Config{MaxThreshold: 1e7, RHSGrid: []float64{0, 1, 2}}); err != nil {
@@ -300,7 +300,7 @@ func TestDiscoveryRejectsBadLimits(t *testing.T) {
 	}
 	// A refusal builds no grid: the error value costs a few allocations,
 	// while appending even the bound's grid takes about 20 growths.
-	for _, th := range []float64{maxDefaultGridThreshold + 1, 1e7, 1e300} {
+	for _, th := range []float64{MaxDefaultGridThreshold + 1, 1e7, 1e300} {
 		cfg := Config{MaxThreshold: th}
 		allocs := testing.AllocsPerRun(1, func() { _ = cfg.normalize() })
 		if cfg.RHSGrid != nil || allocs > 8 {

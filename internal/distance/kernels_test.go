@@ -95,8 +95,11 @@ func enumerate(alphabet []rune, maxLen int) [][]rune {
 // asserts that the Myers kernel, the banded DP, and the automatic
 // dispatch all agree with the naive oracle on the exact distance, and
 // that the bounded predicate agrees exactly at the threshold boundary
-// (d-1, d, d+1) under every kernel. Off-by-one word-boundary bugs that
-// random fuzzing can miss have nowhere to hide in an exhaustive sweep.
+// (d-1, d, d+1) under every kernel, as does the prepared kernel under
+// every kernel, prepared once per query on an arena of its own and on
+// one whose table other kernel calls rebuild in between. Off-by-one
+// word-boundary bugs that random fuzzing can miss have nowhere to hide
+// in an exhaustive sweep.
 func TestExhaustiveKernelAgreement(t *testing.T) {
 	maxLen := 6
 	if testing.Short() {
@@ -105,10 +108,13 @@ func TestExhaustiveKernelAgreement(t *testing.T) {
 	words := enumerate([]rune{'a', 'b', 'c'}, maxLen)
 	t.Logf("%d words, %d pairs", len(words), len(words)*len(words))
 
-	scMyers, scBanded, scAuto := NewScratch(), NewScratch(), NewScratch()
+	scMyers, scBanded, scAuto, scPrep := NewScratch(), NewScratch(), NewScratch(), NewScratch()
 	var buf []int
 	var d int
 	for _, ra := range words {
+		SetKernel(KernelAuto)
+		scPrep.Prepare(ra, RuneMask(ra))
+		scAuto.Prepare(ra, RuneMask(ra))
 		for _, rb := range words {
 			d, buf = naiveLevenshtein(ra, rb, buf)
 
@@ -134,10 +140,29 @@ func TestExhaustiveKernelAgreement(t *testing.T) {
 					}
 					checkCapped(t, cfg.name, scAuto, ra, rb, th, d)
 				}
+				scMyers.Prepare(ra, RuneMask(ra))
+				checkPrepared(t, cfg.name, scMyers, ra, rb, d)
 			}
+			SetKernel(KernelAuto)
+			checkPrepared(t, "auto", scPrep, ra, rb, d)
+			checkPrepared(t, "auto, rebuilt", scAuto, ra, rb, d)
 		}
 	}
 	SetKernel(KernelAuto)
+}
+
+// checkPrepared asserts the prepared kernel, with ra the last query
+// prepared on sc, against the exact distance d at the bounds 0, d-1, d
+// and d+1: in bound iff d <= th, and then the score is d itself.
+func checkPrepared(t *testing.T, kernel string, sc *Scratch, ra, rb []rune, d int) {
+	t.Helper()
+	for _, th := range []int{0, d - 1, d, d + 1} {
+		got, ok := sc.CappedPrepared(rb, RuneMask(rb), th)
+		if ok != (d <= th) || (ok && got != d) {
+			t.Fatalf("%s: CappedPrepared(%q | %q, %d) = (%d, %v), exact %d",
+				kernel, string(ra), string(rb), th, got, ok, d)
+		}
+	}
 }
 
 // checkCapped asserts the capped kernel against the exact distance d:
@@ -153,7 +178,8 @@ func checkCapped(t *testing.T, kernel string, sc *Scratch, ra, rb []rune, th, d 
 // TestKernelDifferentialRandom drives random pairs through every kernel
 // across the whole length spectrum, deliberately crossing the 64-rune
 // word boundary so the Myers/fallback seam is exercised, with mixed
-// ASCII and multi-byte alphabets.
+// ASCII and multi-byte alphabets; then the prepared kernel with queries
+// of exactly 63, 64 and 65 runes over the spill alphabet.
 func TestKernelDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	alphabets := [][]rune{
@@ -198,8 +224,26 @@ func TestKernelDifferentialRandom(t *testing.T) {
 				}
 				checkCapped(t, cfg.name, sc, ra, rb, th, d)
 			}
+			sc.Prepare(ra, RuneMask(ra))
+			checkPrepared(t, cfg.name, sc, ra, rb, d)
 		}
 		SetKernel(KernelAuto)
+	}
+	// One prepared query against many texts, with other kernel calls on
+	// the arena in between.
+	spill := alphabets[2]
+	for _, n := range []int{63, 64, 65} {
+		ra := make([]rune, n)
+		for i := range ra {
+			ra[i] = spill[rng.Intn(len(spill))]
+		}
+		sc.Prepare(ra, RuneMask(ra))
+		for i := 0; i < iters/20; i++ {
+			rb := randWord(spill)
+			d, buf = naiveLevenshtein(ra, rb, buf)
+			checkPrepared(t, "auto", sc, ra, rb, d)
+			checkCapped(t, "auto", sc, ra, rb, d, d)
+		}
 	}
 }
 
@@ -303,6 +347,10 @@ func TestKernelZeroAllocs(t *testing.T) {
 		}},
 		{"Scratch.CappedRunesMasked", func() {
 			sc.CappedRunesMasked(ga, gb, RuneMask(ga), RuneMask(gb), 5)
+		}},
+		{"Scratch.CappedPrepared", func() {
+			sc.Prepare(ga, RuneMask(ga))
+			sc.CappedPrepared(gb, RuneMask(gb), 5)
 		}},
 	}
 	for _, c := range cases {

@@ -22,6 +22,7 @@ import "repro/internal/obs"
 // list (at most 64 entries, linear-probed). Epoch stamping makes the
 // rebuild O(m) with no clearing.
 func (sc *Scratch) buildPeq(p []rune) {
+	sc.prepared = false
 	sc.epoch++
 	if sc.epoch == 0 {
 		// uint32 wrap: stale stamps could collide with the new epoch, so
@@ -112,8 +113,13 @@ func (sc *Scratch) myersDistance(p, t []rune) int {
 // score moves by at most one per text rune, so once score minus the
 // remaining rune count exceeds the bound the answer is settled.
 func (sc *Scratch) myersCapped(p, t []rune, max int) (int, bool) {
-	m := len(p)
 	sc.buildPeq(p)
+	return sc.myersScan(len(p), t, max)
+}
+
+// myersScan is myersCapped's loop over text t for the m-rune pattern
+// whose table is built.
+func (sc *Scratch) myersScan(m int, t []rune, max int) (int, bool) {
 	pv := ^uint64(0)
 	if m < 64 {
 		pv = 1<<uint(m) - 1

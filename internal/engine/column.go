@@ -113,6 +113,8 @@ func (m *Matcher) stringSegment(out []float64, attr int, a int32, kinds []datase
 		m.memoGen = 1
 	}
 	gen := uint64(m.memoGen) << 32
+	// a is the query of every kernel call below.
+	m.sc.Prepare(ra, ma)
 	for k, kj := range kinds {
 		if kj != dataset.KindString {
 			out[k] = distance.Missing
@@ -128,7 +130,7 @@ func (m *Matcher) stringSegment(out []float64, attr int, a int32, kinds []datase
 		if m.memoKey[slot] != key {
 			d = -1
 			if abs(in.lenOf(b)-la) <= bound {
-				if e, ok := m.sc.CappedRunesMasked(ra, in.runesOf(b), ma, in.maskOf(b), bound); ok {
+				if e, ok := m.sc.CappedPrepared(in.runesOf(b), in.maskOf(b), bound); ok {
 					d = int32(e)
 				}
 			}
