@@ -178,13 +178,6 @@ func BenchmarkAblationVerifyBothSides(b *testing.B) {
 	ablationBench(b, core.WithVerifyMode(core.VerifyBothSides))
 }
 
-// BenchmarkAblationNoIndex disables the donor index on
-// equality-constrained LHS attributes (results are identical; this
-// measures the index's time contribution).
-func BenchmarkAblationNoIndex(b *testing.B) {
-	ablationBench(b, core.WithoutIndex())
-}
-
 // BenchmarkStreamAppend measures arrival-time imputation (the Sec. 7
 // incremental extension): one tuple appended to a warm stream.
 func BenchmarkStreamAppend(b *testing.B) {

@@ -58,7 +58,7 @@ type Tolerance struct {
 // parseRecords extracts every benchmark record from a BENCH_*.json
 // document, wherever it nests: the walker looks for objects carrying a
 // "name" string and an "ns_per_op" number, so the per-package envelope
-// differences (engine's cache_stats, session's speedup, discovery's
+// differences (engine's run_stats, session's speedup, discovery's
 // gomaxprocs) never need schema-specific code. Object keys are walked
 // in sorted order and the first occurrence of a name wins, so duplicate
 // names resolve deterministically — a historical document with

@@ -3,9 +3,9 @@ package main
 // runCompile is the `renuver compile` mode: the TRIARD-style folder
 // pipeline (dataset in, dependency set in or discovered, results out)
 // collapsed into one native binary artifact. The base instance is
-// compiled once — columnar view, interning tables, candidate index over
-// Σ's LHS attributes — Σ is discovered (or loaded), and the whole
-// compiled session is serialized into the versioned artifact format.
+// compiled once — columnar view and interning tables — Σ is
+// discovered (or loaded), and the whole compiled session is serialized
+// into the versioned artifact format.
 // Any number of serving replicas then boot from that one file with
 // `renuver serve -artifact`, skipping both discovery and compilation.
 

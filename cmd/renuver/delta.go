@@ -5,9 +5,9 @@ package main
 // Go API's Session.ApplyDelta and the server's POST /v1/delta consume,
 // read from a file instead of a request body. The artifact is loaded,
 // the delta applied (Σ revalidated over the changed rows), and the
-// evolved session re-encoded (with a freshly built candidate index), so
-// a fleet can roll a data change by distributing one new artifact
-// instead of replaying mutations against every replica.
+// evolved session re-encoded, so a fleet can roll a data change by
+// distributing one new artifact instead of replaying mutations against
+// every replica.
 
 import (
 	"context"

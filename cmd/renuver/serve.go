@@ -127,7 +127,7 @@ func runServe(args []string) error {
 
 	var sess *renuver.Session
 	if *artifactPath != "" {
-		// Instant boot: the compiled base, candidate index, and Σ decode
+		// Instant boot: the compiled base and Σ decode
 		// straight from the artifact's flat slabs — no discovery, no
 		// compile. This is what lets N stateless replicas come up behind
 		// a load balancer in milliseconds.

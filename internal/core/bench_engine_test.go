@@ -23,8 +23,8 @@ func engineBenchStrings(tb testing.TB, blocks int) (*dataset.Relation, rfd.Set) 
 
 // engineBenchNumeric is the numeric-heavy workload: four correlated
 // integer attributes with periodic structure and a missing C cell every
-// tenth row, so candidate search is dominated by range comparisons —
-// the case the engine's sorted-column range probes target.
+// tenth row, so candidate search is dominated by numeric range
+// comparisons rather than string kernels.
 func engineBenchNumeric(tb testing.TB, n int) (*dataset.Relation, rfd.Set) {
 	tb.Helper()
 	var sb strings.Builder
@@ -83,7 +83,7 @@ func BenchmarkImputeEngine(b *testing.B) {
 // TestBenchEngineJSON emits the engine bench trajectory: when
 // BENCH_ENGINE_OUT names a file (e.g. BENCH_engine.json), both
 // BenchmarkImputeEngine workloads are run via testing.Benchmark and
-// written as JSON, alongside each run's index probes and imputations.
+// written as JSON, alongside each run's imputations.
 //
 //	BENCH_ENGINE_OUT=BENCH_engine.json go test ./internal/core -run TestBenchEngineJSON
 //
@@ -122,18 +122,13 @@ func TestBenchEngineJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runStats[w.name] = map[string]int{
-			"engine_index_probes": res.Stats.EngineIndexProbes,
-			"imputed":             res.Stats.Imputed,
-		}
+		runStats[w.name] = map[string]int{"imputed": res.Stats.Imputed}
 	}
 
-	// The section keeps its historical key, cache_stats, so readers of
-	// the committed file keep finding it.
 	doc, err := json.MarshalIndent(struct {
 		Package    string                    `json:"package"`
 		Benchmarks []BenchRecord             `json:"benchmarks"`
-		RunStats   map[string]map[string]int `json:"cache_stats"`
+		RunStats   map[string]map[string]int `json:"run_stats"`
 	}{Package: "repro/internal/core", Benchmarks: records, RunStats: runStats}, "", "  ")
 	if err != nil {
 		t.Fatal(err)

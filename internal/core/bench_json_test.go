@@ -87,8 +87,9 @@ func TestBenchJSON(t *testing.T) {
 		record("findCandidateTuples", testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			bigMatcher := engine.Compile(big).Matcher()
+			bigMatcher.Keep(bigSigma)
 			for i := 0; i < b.N; i++ {
-				findCandidateTuples(context.Background(), bigMatcher, nil, false, 3, phone, deps)
+				findCandidateTuples(context.Background(), bigMatcher, 3, phone, deps)
 			}
 		})),
 		record("Levenshtein", testing.Benchmark(func(b *testing.B) {

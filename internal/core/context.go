@@ -28,12 +28,11 @@ func (im *Imputer) ImputeContext(ctx context.Context, rel *dataset.Relation) (*R
 }
 
 // runImpute is Algorithm 1 over an already-compiled view: key-RFDc
-// detection, optional donor-index build, then the per-cell imputation
-// loop with cancellation checkpoints. work must be the relation the
-// view compiles (a private clone of the caller's input). It returns the
-// (possibly partial) result and engine.ErrCanceled when the context
-// expired mid-run.
-func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *engine.View, useIndex bool) (*Result, error) {
+// detection, then the per-cell imputation loop with cancellation
+// checkpoints. work must be the relation the view compiles (a private
+// clone of the caller's input). It returns the (possibly partial)
+// result and engine.ErrCanceled when the context expired mid-run.
+func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *engine.View) (*Result, error) {
 	runStart := time.Now()
 	res := &Result{Relation: work}
 
@@ -44,11 +43,14 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	sp := obs.SpanFromContext(ctx).Child("impute")
 	defer sp.End()
 
-	// One kernel arena for the run: every scan below evaluates through
-	// it, so the string kernels never allocate. The key tracker and the
-	// verify plan share its RowPass buffers, reused from row to row and
-	// cell to cell.
+	// One matcher for the run, from the pool: every scan below evaluates
+	// through its kernel arena, so the string kernels never allocate.
+	// Key detection, candidate search, the verify plan and key
+	// re-evaluation share its RowPass buffers and the query row's kept
+	// distance columns, capped for Σ.
 	m := eng.Matcher()
+	defer m.Release()
+	m.Keep(im.sigma)
 	var plan verifyPlan
 
 	preStart := time.Now()
@@ -57,11 +59,6 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	res.Stats.KeyRFDs = kt.keys
 	incomplete := work.IncompleteRows()
 	res.Stats.MissingCells = work.CountMissing()
-
-	var idx *engine.Index
-	if useIndex {
-		idx = engine.NewIndex(eng, im.sigma)
-	}
 	if preSpan.Enabled() {
 		preSpan.Int("key_rfds", int64(kt.keys))
 		preSpan.Int("missing_cells", int64(res.Stats.MissingCells))
@@ -70,7 +67,7 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	res.Stats.Phases.Preprocess = time.Since(preStart)
 	if ctx.Err() != nil {
 		// The key tracker may be incomplete; impute nothing from it.
-		im.finishRun(res, eng, idx, runStart, sp)
+		im.finishRun(res, eng, runStart, sp)
 		return res, engine.Canceled(ctx)
 	}
 
@@ -78,7 +75,7 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	for _, row := range incomplete {
 		for _, attr := range work.Row(row).MissingAttrs() {
 			if ctx.Err() != nil {
-				im.finishRun(res, eng, idx, runStart, sp)
+				im.finishRun(res, eng, runStart, sp)
 				return res, engine.Canceled(ctx)
 			}
 			sigmaPrime := kt.nonKeys()
@@ -88,7 +85,7 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 				cell.Int("row", int64(row))
 				cell.Str("attr", schema.Attr(attr).Name)
 			}
-			imputed, err := im.imputeMissingValue(ctx, m, &plan, row, attr, sigmaPrime, clusters, res, idx, cell)
+			imputed, err := im.imputeMissingValue(ctx, m, &plan, row, attr, sigmaPrime, clusters, res, cell)
 			if cell.Enabled() {
 				if imputed {
 					cell.Int("imputed", 1)
@@ -98,7 +95,6 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 			}
 			cell.End()
 			if imputed {
-				idx.Insert(row, attr)
 				if !im.opts.NoKeyReevaluation {
 					reevalStart := time.Now()
 					krSpan := sp.Child("key_reeval")
@@ -113,21 +109,19 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 				}
 			}
 			if err != nil {
-				im.finishRun(res, eng, idx, runStart, sp)
+				im.finishRun(res, eng, runStart, sp)
 				return res, err
 			}
 		}
 	}
-	im.finishRun(res, eng, idx, runStart, sp)
+	im.finishRun(res, eng, runStart, sp)
 	return res, nil
 }
 
-// finishRun seals the result (tail counters, engine index counter,
-// total wall clock) and forwards the run to the configured
-// recorder and the run span.
-func (im *Imputer) finishRun(res *Result, eng *engine.View, idx *engine.Index, runStart time.Time, sp obs.Span) {
+// finishRun seals the result (tail counters, total wall clock) and
+// forwards the run to the configured recorder and the run span.
+func (im *Imputer) finishRun(res *Result, eng *engine.View, runStart time.Time, sp obs.Span) {
 	res.finish(eng.Relation())
-	res.Stats.EngineIndexProbes = int(idx.Probes())
 	res.Stats.Phases.Total = time.Since(runStart)
 	if sp.Enabled() {
 		sp.Int("missing_cells", int64(res.Stats.MissingCells))

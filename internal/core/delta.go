@@ -162,9 +162,8 @@ type DeltaResult struct {
 	// memo to invalidate. The field stays for /v1/delta clients that
 	// read it.
 	InvalidatedCacheShards int `json:"invalidated_cache_shards"`
-	// IndexRebuilt is always false: a delta no longer maintains a
-	// candidate index (the successor epoch carries none). The field stays
-	// for /v1/delta clients that read it.
+	// IndexRebuilt is always false: there is no candidate index to
+	// rebuild. The field stays for /v1/delta clients that read it.
 	IndexRebuilt bool `json:"index_rebuilt"`
 }
 

@@ -135,8 +135,8 @@ func assertDeltaParity(t *testing.T, label string, wantRes, gotRes *Result, want
 // at every epoch, demand the evolved session is indistinguishable —
 // imputations, Stats, trace JSONL, CSV bytes — from a from-scratch
 // NewSession over the same logical relation with the same repaired Σ.
-// The candidate search is one sweep over a single donor index, the
-// donorShards=1 configuration, and the subtest keeps that name.
+// Candidate search is one pass per cluster, what the donorShards=1
+// configuration of the grid was, and the subtest keeps that name.
 func TestEpochParityGrid(t *testing.T) {
 	base := table4Base(t)
 	sigma := table4Sigma(t, base)

@@ -47,9 +47,7 @@ func (im *Imputer) ImputeWithDonorsContext(ctx context.Context, rel *dataset.Rel
 	}
 	work := rel.Clone()
 	eng := engine.CompileWithDonors(work, donors)
-	// No donor index: probe results over the combined space would mix
-	// target and pool rows per bucket, and the historical donor-pool path
-	// has always run the plain scan. Σ' selection, ranking, and
-	// verification are shared with the single-instance path via runImpute.
-	return im.runImpute(ctx, work, eng, false)
+	// Σ' selection, candidate search, ranking and verification are
+	// shared with the single-instance path via runImpute.
+	return im.runImpute(ctx, work, eng)
 }

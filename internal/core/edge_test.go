@@ -66,7 +66,6 @@ func TestOptionCombination(t *testing.T) {
 		WithoutRanking(),
 		WithoutKeyReevaluation(),
 		WithMaxCandidates(2),
-		WithoutIndex(),
 	).Impute(rel)
 	if err != nil {
 		t.Fatal(err)

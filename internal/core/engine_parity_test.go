@@ -11,18 +11,33 @@ import (
 )
 
 // parityConfigs are the evaluation-engine configurations that must all
-// produce the same imputations: the engine's index is a pure
-// optimization.
-func parityConfigs() map[string][]Option {
-	return map[string][]Option{
-		"default":  nil,
-		"no-index": {WithoutIndex()},
+// produce the same imputations. "pooled" runs on a matcher the pool
+// hands back after a run over the same relation with its rows reversed:
+// a view of the same length, so kept columns, were any left behind,
+// could pass for valid on an attribute neither run writes.
+func parityConfigs() map[string]func(rel *dataset.Relation, sigma rfd.Set, opts ...Option) (*Result, error) {
+	run := func(rel *dataset.Relation, sigma rfd.Set, opts ...Option) (*Result, error) {
+		return New(sigma, opts...).Impute(rel)
+	}
+	return map[string]func(*dataset.Relation, rfd.Set, ...Option) (*Result, error){
+		"default": run,
+		"pooled": func(rel *dataset.Relation, sigma rfd.Set, opts ...Option) (*Result, error) {
+			rev := dataset.NewRelation(rel.Schema())
+			for i := rel.Len() - 1; i >= 0; i-- {
+				if err := rev.Append(rel.Row(i).Clone()); err != nil {
+					return nil, err
+				}
+			}
+			if _, err := run(rev, sigma); err != nil {
+				return nil, err
+			}
+			return run(rel, sigma, opts...)
+		},
 	}
 }
 
 // accuracyStats extracts the Stats fields that are algorithmic outcomes
-// (as opposed to scan-efficiency counters, which legitimately differ
-// between indexed and sweeping configurations).
+// (as opposed to phase timings).
 type accuracyStats struct {
 	Imputed, Unimputed, MissingCells     int
 	KeyRFDs, KeyFlips                    int
@@ -75,9 +90,9 @@ func runParity(t *testing.T, label string, rel *dataset.Relation, sigma rfd.Set)
 		trace []byte
 	}
 	outcomes := map[string]outcome{}
-	for name, opts := range parityConfigs() {
+	for name, run := range parityConfigs() {
 		tr := obs.NewRingTracer(0, 1)
-		res, err := New(sigma, append(opts, WithTracer(tr))...).Impute(rel)
+		res, err := run(rel, sigma, WithTracer(tr))
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, name, err)
 		}
@@ -131,27 +146,24 @@ func TestEngineParityTable2(t *testing.T) {
 
 // TestEngineParityWorkloads runs the two bench workloads (Table 2
 // replicated at scale; correlated numerics) through every configuration,
-// and checks that the engine's index counter actually moves: the
-// default configuration must answer candidate probes from the index.
+// and checks the candidate-search counters: every cluster sweeps every
+// other row, and no index counter moves.
 func TestEngineParityWorkloads(t *testing.T) {
 	srel, ssigma := engineBenchStrings(t, 12)
 	runParity(t, "strings", srel, ssigma)
 	nrel, nsigma := engineBenchNumeric(t, 120)
 	runParity(t, "numeric", nrel, nsigma)
 
-	// Range probes are selective on the numeric workload (the string
-	// workload's near-uniform name lengths legitimately fall back to the
-	// sweep, which the selectivity guard is for).
 	nres, err := New(nsigma).Impute(nrel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nres.Stats.EngineIndexProbes == 0 {
-		t.Error("indexed numeric run answered no index probes")
+	st := nres.Stats
+	if st.ClustersScanned == 0 || st.DonorsScanned != st.ClustersScanned*(nrel.Len()-1) {
+		t.Errorf("donors scanned %d over %d clusters of %d rows, want Len()-1 per cluster",
+			st.DonorsScanned, st.ClustersScanned, nrel.Len())
 	}
-	if noIdx, err := New(nsigma, WithoutIndex()).Impute(nrel); err != nil {
-		t.Fatal(err)
-	} else if noIdx.Stats.EngineIndexProbes != 0 {
-		t.Error("WithoutIndex run reported index probes")
+	if st.IndexHits != 0 || st.IndexMisses != 0 || st.EngineIndexProbes != 0 {
+		t.Errorf("index counters moved: %+v", st)
 	}
 }

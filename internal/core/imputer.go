@@ -49,7 +49,7 @@ type Imputation struct {
 // bookkeeping around them. Phases do not sum to Total: the loop glue and
 // result assembly are unattributed.
 type PhaseTimes struct {
-	// Preprocess is key-RFDc detection plus the donor-index build.
+	// Preprocess is key-RFDc detection.
 	Preprocess time.Duration
 	// CandidateSearch is the donor scans of Algorithm 3.
 	CandidateSearch time.Duration
@@ -69,7 +69,7 @@ type Stats struct {
 	Imputed             int // cells successfully imputed
 	Unimputed           int // cells left null
 	KeyRFDs             int // RFDcs filtered as keys during pre-processing
-	DonorsScanned       int // donor tuples examined during candidate search
+	DonorsScanned       int // donor tuples examined during candidate search: Len()-1 per cluster
 	CandidatesEvaluated int // (tuple, cluster) candidate tuples scored
 	DonorsRanked        int // candidates that entered the distance sort
 	CandidatesTried     int // tentative imputations attempted
@@ -77,13 +77,16 @@ type Stats struct {
 	VerifyRejections    int // tentative imputations rejected by IS_FAULTLESS
 	ClustersScanned     int // clusters examined across all missing values
 	KeyFlips            int // key-RFDcs that became non-key mid-run
-	IndexHits           int // candidate scans answered by the donor index
-	IndexMisses         int // scans that fell back to the full sweep despite an index
+	// IndexHits, IndexMisses and EngineIndexProbes are always 0: every
+	// candidate search reads the query row's kept distance columns, and
+	// there is no donor index. The fields stay for readers of Stats.
+	IndexHits   int
+	IndexMisses int
 	// EngineCacheHits and EngineCacheMisses are always 0: the engine
 	// keeps no distance memo. The fields stay for readers of Stats.
 	EngineCacheHits   int
 	EngineCacheMisses int
-	EngineIndexProbes int // engine candidate-index probes issued
+	EngineIndexProbes int
 	// ImputedByAttr counts successful imputations per attribute position
 	// (len = schema arity; nil when the run imputed nothing).
 	ImputedByAttr []int
@@ -116,9 +119,6 @@ func publishStats(rec obs.Recorder, s *Stats) {
 	rec.Add(obs.CtrFaultlessFailures, int64(s.VerifyRejections))
 	rec.Add(obs.CtrClustersScanned, int64(s.ClustersScanned))
 	rec.Add(obs.CtrKeyFlips, int64(s.KeyFlips))
-	rec.Add(obs.CtrIndexHits, int64(s.IndexHits))
-	rec.Add(obs.CtrIndexMisses, int64(s.IndexMisses))
-	rec.Add(obs.CtrEngineIndexProbes, int64(s.EngineIndexProbes))
 	rec.Time(obs.PhasePreprocess, s.Phases.Preprocess)
 	rec.Time(obs.PhaseCandidateSearch, s.Phases.CandidateSearch)
 	rec.Time(obs.PhaseRanking, s.Phases.Ranking)
@@ -218,14 +218,14 @@ type candidate struct {
 // imputeMissingValue is Algorithm 2. It returns true when the cell was
 // imputed, and a non-nil error when the context expired mid-cell — the
 // working relation is then left consistent (any tentative value was
-// reverted) but the cell unresolved. idx may be nil (no donor index
-// available). m is the run's matcher over the compiled view of the
-// working relation (plus, for the multi-dataset extension, the donor
-// pool): candidate rows are flat view indices. plan is the run's verify
-// plan, rebuilt for this cell by its first untraced verification and
-// reused by every later candidate of every cluster.
+// reverted) but the cell unresolved. m is the run's matcher over the
+// compiled view of the working relation (plus, for the multi-dataset
+// extension, the donor pool): candidate rows are flat view indices.
+// plan is the run's verify plan, rebuilt for this cell by its first
+// untraced verification and reused by every later candidate of every
+// cluster.
 func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, plan *verifyPlan, row, attr int,
-	sigmaPrime rfd.Set, clusters []rfd.Cluster, res *Result, idx *engine.Index, cell obs.Span) (bool, error) {
+	sigmaPrime rfd.Set, clusters []rfd.Cluster, res *Result, cell obs.Span) (bool, error) {
 
 	rec := im.opts.recorder()
 	eng := m.View()
@@ -247,17 +247,9 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, pl
 		}
 		searchStart := time.Now()
 		searchSpan := cell.Child("candidate_search")
-		rows, indexed := idx.CandidateRows(row, cluster.RFDs)
 		donorPool := eng.Len() - 1
-		switch {
-		case indexed:
-			res.Stats.IndexHits++
-			donorPool = len(rows)
-		case idx != nil:
-			res.Stats.IndexMisses++
-		}
 		res.Stats.DonorsScanned += donorPool
-		cands := findCandidateTuples(ctx, m, rows, indexed, row, attr, cluster.RFDs)
+		cands := findCandidateTuples(ctx, m, row, attr, cluster.RFDs)
 		if searchSpan.Enabled() {
 			searchSpan.Int("donor_pool", int64(donorPool))
 			searchSpan.Int("candidates", int64(len(cands)))
@@ -402,28 +394,67 @@ func endVerifySpan(sp obs.Span, attempts int, faultless int64, plan *verifyPlan,
 // findCandidateTuples is Algorithm 3: every tuple t_j ≠ t with a value on
 // A whose distance pattern against t satisfies the LHS of at least one
 // RFDc in the cluster becomes a candidate, scored with the minimum mean
-// LHS distance (Eq. 2) over the matching RFDcs. The sweep covers every
-// flat row of the view — the working relation plus, in the
-// multi-dataset extension, the donor pool — or, when indexed, only the
-// donor index's rows for the cluster: an ascending list without the
-// query row, outside which every donor fails all premises, so both
-// sweeps return the same candidates in the same order. The context is
-// checked every engine.CheckEvery rows; an expired context makes the
-// sweep return early with a partial list the caller must discard.
-func findCandidateTuples(ctx context.Context, m *engine.Matcher, rows []int, indexed bool, row, attr int, deps rfd.Set) []candidate {
-	v := m.View()
-	n := v.Len()
-	if indexed {
-		n = len(rows)
+// LHS distance (Eq. 2) over the matching RFDcs. It sweeps every flat row
+// of the view — the working relation plus, in the multi-dataset
+// extension, the donor pool — in one RowPass over t's kept distance
+// columns: a row is a candidate when its bit is set in the union of the
+// rules' LHS match bitsets, and each matching rule's LHS distances are
+// read from the columns, exact there because the rule matched, and
+// summed in LHS order, so the score is View.DistMin's bit for bit. A
+// cluster carrying a threshold outside engine.Exact takes the per-pair
+// sweep. The context is checked every engine.CheckEvery rows; an
+// expired context makes the sweep return early with a partial list the
+// caller must discard.
+func findCandidateTuples(ctx context.Context, m *engine.Matcher, row, attr int, deps rfd.Set) []candidate {
+	p := m.Pass(deps)
+	for h, dep := range deps {
+		if !p.Rule(dep, -1, false, h) {
+			return candidatesLiteral(ctx, m, row, attr, deps)
+		}
 	}
+	v := m.View()
 	var cands []candidate
-	for k := 0; k < n; k++ {
-		if k%engine.CheckEvery == 0 && ctx.Err() != nil {
+	p.Scan(row, 0, v.Len(), false)
+	for p.Next() {
+		if ctx.Err() != nil {
 			return cands
 		}
-		j := k
-		if indexed {
-			j = rows[k]
+		for h := range deps {
+			p.And(h)
+		}
+		lo, u := p.Lo(), p.Union()
+		for k := engine.NextBit(u, 0); k >= 0; k = engine.NextBit(u, k+1) {
+			j := lo + k
+			if v.IsNull(j, attr) {
+				continue
+			}
+			dist, found := 0.0, false
+			for h, dep := range deps {
+				if !p.Has(h, k) {
+					continue
+				}
+				sum := 0.0
+				for _, c := range dep.LHS {
+					sum += p.Dist(c.Attr, j)
+				}
+				if d := sum / float64(len(dep.LHS)); !found || d < dist {
+					dist, found = d, true
+				}
+			}
+			cands = append(cands, candidate{row: j, dist: dist})
+		}
+	}
+	return cands
+}
+
+// candidatesLiteral is findCandidateTuples pair by pair, for clusters
+// carrying a threshold outside engine.Exact.
+func candidatesLiteral(ctx context.Context, m *engine.Matcher, row, attr int, deps rfd.Set) []candidate {
+	v := m.View()
+	var cands []candidate
+	for j := 0; j < v.Len(); j++ {
+		if j%engine.CheckEvery == 0 && ctx.Err() != nil {
+			return cands
 		}
 		if j == row || v.IsNull(j, attr) {
 			continue

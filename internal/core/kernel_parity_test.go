@@ -28,7 +28,7 @@ var kernelVariants = []struct {
 // unless the imputations, final relation, full Stats (accuracy AND
 // scan-efficiency counters — the kernels share one dispatch path, so
 // even the scan counters must match), and trace JSONL bytes are identical.
-func runKernelParity(t *testing.T, label string, rel *dataset.Relation, sigma rfd.Set, opts ...Option) {
+func runKernelParity(t *testing.T, label string, rel *dataset.Relation, sigma rfd.Set) {
 	t.Helper()
 	type outcome struct {
 		res   *Result
@@ -38,7 +38,7 @@ func runKernelParity(t *testing.T, label string, rel *dataset.Relation, sigma rf
 	for _, kv := range kernelVariants {
 		prev := distance.SetKernel(kv.k)
 		tr := obs.NewRingTracer(0, 1)
-		res, err := New(sigma, append(append([]Option{}, opts...), WithTracer(tr))...).Impute(rel)
+		res, err := New(sigma, WithTracer(tr)).Impute(rel)
 		distance.SetKernel(prev)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", label, kv.name, err)
@@ -83,12 +83,10 @@ func TestKernelParityTable2(t *testing.T) {
 }
 
 // TestKernelParityWorkloads: the bench workloads (replicated Table 2
-// strings; correlated numerics) under every kernel, with and without
-// the donor index.
+// strings; correlated numerics) under every kernel.
 func TestKernelParityWorkloads(t *testing.T) {
 	srel, ssigma := engineBenchStrings(t, 12)
 	runKernelParity(t, "strings", srel, ssigma)
-	runKernelParity(t, "strings-no-index", srel, ssigma, WithoutIndex())
 	nrel, nsigma := engineBenchNumeric(t, 120)
 	runKernelParity(t, "numeric", nrel, nsigma)
 }

@@ -85,11 +85,6 @@ type Options struct {
 	// MaxCandidates, when positive, caps how many ranked candidates are
 	// tried per cluster before moving on. Zero means unlimited.
 	MaxCandidates int
-	// NoIndex disables the donor index — the inverted value index on
-	// equality-constrained (threshold 0) LHS attributes that lets
-	// candidate generation skip donors that cannot satisfy any premise.
-	// Results are identical either way.
-	NoIndex bool
 	// Recorder receives pipeline events (counters, histograms, phase
 	// timings) across runs. Nil means obs.Nop: Result.Stats is still
 	// filled, but nothing is aggregated process-wide.
@@ -145,10 +140,6 @@ func WithoutKeyReevaluation() Option { return func(op *Options) { op.NoKeyReeval
 
 // WithMaxCandidates caps the candidates tried per cluster.
 func WithMaxCandidates(k int) Option { return func(op *Options) { op.MaxCandidates = k } }
-
-// WithoutIndex disables the donor index on equality-constrained LHS
-// attributes.
-func WithoutIndex() Option { return func(op *Options) { op.NoIndex = true } }
 
 // WithRecorder aggregates run events into r (typically an *obs.Metrics
 // shared across runs). r must be safe for concurrent use when the same

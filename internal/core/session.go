@@ -29,8 +29,8 @@ import (
 //     tuples contribute candidate values but are never imputed, never
 //     verified against, and donate pairs to key-RFDc detection.
 //   - base == nil: each request is self-contained — identical semantics
-//     to Imputer.Impute, with the per-request donor index enabled. This
-//     is the ephemeral mode the free functions wrap.
+//     to Imputer.Impute. This is the ephemeral mode the free functions
+//     wrap.
 //
 // Sessions with a base are live: ApplyDelta evolves the base in place
 // by publishing a new epoch (see delta.go), and every read serves
@@ -184,17 +184,14 @@ func (s *Session) imputeEpoch(ctx context.Context, rel *dataset.Relation, im *Im
 	}
 	work := rel.Clone()
 	var eng *engine.View
-	useIndex := !im.opts.NoIndex
 	if ep != nil {
 		// Donor-pool mode: only the request rows are compiled; the base
-		// tier is shared. No per-request donor index — building one would
-		// rescan every base row and forfeit the O(request) per-call cost.
+		// tier is shared.
 		eng = ep.shared.Extend(work)
-		useIndex = false
 	} else {
 		eng = engine.Compile(work)
 	}
-	return im.runImpute(ctx, work, eng, useIndex)
+	return im.runImpute(ctx, work, eng)
 }
 
 // Explain reruns the request with a tracer pinned to one cell and

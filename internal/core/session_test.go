@@ -523,3 +523,38 @@ func TestBenchSessionJSON(t *testing.T) {
 			speedup, compile.NsPerOp(), fromArtifact.NsPerOp())
 	}
 }
+
+// warmSessionAllocs is what one warm single-row Session.Impute on a
+// two-tier view allocated before matchers were pooled, measured on that
+// code with this test's workload. Each run now takes its matcher — the
+// kernel arena, the pass buffers and the kept columns — from the pool,
+// so the count must not rise above it.
+const warmSessionAllocs = 66
+
+// TestWarmSessionImputeAllocs guards the matcher pool: a warm
+// single-row request on a base-backed session allocates no more than
+// warmSessionAllocs.
+func TestWarmSessionImputeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	base := benchRelation(t, 40)
+	sess, err := NewSession(base, figure1Sigma(t, base.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := dataset.ReadCSVString("Name,City,Phone,Type,Class\nCitrus 7,Los Angeles,,Californian,6\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	impute := func() {
+		res, err := sess.Impute(context.Background(), req)
+		if err != nil || res.Stats.Imputed != 1 {
+			t.Fatalf("warm impute: %v, %+v", err, res)
+		}
+	}
+	impute()
+	if n := testing.AllocsPerRun(50, impute); n > warmSessionAllocs {
+		t.Errorf("%.0f allocs per warm single-row Session.Impute, want at most %d", n, warmSessionAllocs)
+	}
+}

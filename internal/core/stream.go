@@ -43,6 +43,7 @@ type Stream struct {
 func (im *Imputer) NewStream(base *dataset.Relation) *Stream {
 	v := engine.Compile(base.Clone())
 	m := v.Matcher()
+	m.Keep(im.sigma)
 	return &Stream{
 		im: im,
 		v:  v,
@@ -80,7 +81,7 @@ func (s *Stream) Append(t dataset.Tuple) ([]Imputation, error) {
 		res.Stats.MissingCells = 1
 		sigmaPrime := s.kt.nonKeys()
 		clusters := s.im.clustersFor(sigmaPrime, attr)
-		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, row, attr, sigmaPrime, clusters, res, nil, obs.Span{}); ok {
+		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, row, attr, sigmaPrime, clusters, res, obs.Span{}); ok {
 			if !s.im.opts.NoKeyReevaluation {
 				before := s.kt.keys
 				s.kt.afterImpute(row, attr)
@@ -108,7 +109,7 @@ func (s *Stream) RetryMissing() []Imputation {
 		res := &Result{Relation: work}
 		sigmaPrime := s.kt.nonKeys()
 		clusters := s.im.clustersFor(sigmaPrime, cell.Attr)
-		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, cell.Row, cell.Attr, sigmaPrime, clusters, res, nil, obs.Span{}); ok {
+		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, cell.Row, cell.Attr, sigmaPrime, clusters, res, obs.Span{}); ok {
 			if !s.im.opts.NoKeyReevaluation {
 				before := s.kt.keys
 				s.kt.afterImpute(cell.Row, cell.Attr)
@@ -136,8 +137,6 @@ func (s *Stream) accumulate(res *Result) {
 	s.stats.FaultlessChecks += st.FaultlessChecks
 	s.stats.VerifyRejections += st.VerifyRejections
 	s.stats.ClustersScanned += st.ClustersScanned
-	s.stats.IndexHits += st.IndexHits
-	s.stats.IndexMisses += st.IndexMisses
 	for attr, n := range st.ImputedByAttr {
 		for i := 0; i < n; i++ {
 			s.stats.countImputed(attr, s.v.Arity())

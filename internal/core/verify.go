@@ -210,13 +210,13 @@ func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, 
 			}
 			near := math.Inf(-1)
 			for h, l := range p.lhs {
-				if l.th > near && engine.Has(pass.Set(h), k) {
+				if l.th > near && pass.Has(h, k) {
 					near = l.th
 				}
 			}
 			far := math.Inf(1)
 			for h, dep := range p.rhs {
-				if th := dep.RHS.Threshold; th < far && engine.Has(pass.Set(len(p.lhs)+h), k) {
+				if th := dep.RHS.Threshold; th < far && pass.Has(len(p.lhs)+h, k) {
 					far = th
 				}
 			}

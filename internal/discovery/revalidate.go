@@ -34,8 +34,10 @@ import (
 // re-checked, in row order, with the exact pattern against the rule as
 // already tightened. Rules are repaired independently of one another,
 // so Σ, its order and the counts are those of the literal sweep over
-// every (row, pair, rule). A sweep whose rules carry a threshold outside
-// engine.Exact runs that literal sweep.
+// every (row, pair, rule). The matcher's ladders are Σ's thresholds as
+// passed in; one a repair has tightened is compared row by row. A sweep
+// whose rules carry a threshold outside engine.Exact runs that literal
+// sweep.
 //
 // rows are flat indices into v (deduplicated here). Σ is deep-copied;
 // the caller's set is never mutated.
@@ -54,6 +56,8 @@ func RevalidateRows(v *engine.View, sigma rfd.Set, rows []int) (out rfd.Set, dro
 	}
 
 	m := v.Matcher()
+	defer m.Release()
+	m.Keep(cp)
 	one := distance.NewPattern(v.Arity())
 	for _, r := range order {
 		if len(cp) == 0 {

@@ -10,13 +10,15 @@ import (
 	"repro/internal/rfd"
 )
 
-// Rules one query row at a time. Key-RFDc detection, the IS_FAULTLESS
-// plan and Σ revalidation each ask, for one query row q, which other
-// rows satisfy a rule's LHS (and breach its RHS). Instead of one
-// (pair, rule) question at a time, a RowPass computes q's distance to a
-// block of rows once per attribute — a capped distance column — turns
-// every distinct (attribute, threshold) test into a bitset over the
-// block, and answers a rule as the AND of its tests' bitsets.
+// Rules one query row at a time. Candidate search, key-RFDc detection,
+// the IS_FAULTLESS plan and Σ revalidation each ask, for one query row
+// q, which other rows satisfy a rule's LHS (and breach its RHS).
+// Instead of one (pair, rule) question at a time, a RowPass reads q's
+// distance to every row once per attribute — a capped distance column,
+// kept by the Matcher for every later pass of q until a write to the
+// attribute — turns every distinct (attribute, threshold) test into a
+// bitset over a block of rows, and answers a rule as the AND of its
+// tests' bitsets.
 
 // maxExact is where a string bound stops converting to an int exactly
 // (View.Within floors it to one).
@@ -144,21 +146,124 @@ func (m *Matcher) stringSegment(out []float64, attr int, a int32, kinds []datase
 	}
 }
 
+// keptCol is query row q's column on one attribute over flat rows
+// [0, n), capped at limit, kept by the Matcher across passes: rows
+// [lo, hi) are filled, and each pass extends the range to the rows it
+// reads. It is valid while q, n and the attribute's write count stay as
+// they were when it was started; any change, and a pass needing a
+// larger cap, starts it afresh. Beside the distances it keeps a ladder
+// of bitsets over the same rows (one word per 64 rows): the present
+// mask, then per rung r the present rows within rung r's threshold.
+type keptCol struct {
+	q, n   int
+	writes uint64
+	limit  float64
+	lo, hi int
+	d      []float64
+	lad    []uint64
+}
+
+// keptFor returns attr's kept column for query row q, capped at least at
+// need, started afresh when it is not valid.
+func (m *Matcher) keptFor(attr, q int, need float64) *keptCol {
+	kc := &m.kept[attr]
+	n, writes := m.v.n, m.v.cols[attr].writes
+	if kc.q == q && kc.n == n && kc.writes == writes && kc.limit >= need {
+		return kc
+	}
+	kc.q, kc.n, kc.writes, kc.lo, kc.hi = q, n, writes, 0, 0
+	kc.limit = need
+	if rs := m.rungs[attr]; len(rs) > 0 {
+		kc.limit = max(need, rs[len(rs)-1])
+	}
+	kc.d = slices.Grow(kc.d[:0], n)[:n]
+	words := (n + 63) >> 6
+	size := (len(m.rungs[attr]) + 1) * words
+	kc.lad = slices.Grow(kc.lad[:0], size)[:size]
+	return kc
+}
+
+// fill extends kc's filled range to cover rows [lo, hi), computing the
+// rows it adds (and any gap between the two ranges).
+func (m *Matcher) fill(kc *keptCol, attr, lo, hi int) {
+	if kc.lo == kc.hi {
+		kc.lo, kc.hi = lo, lo
+	}
+	if lo < kc.lo {
+		m.fillRows(kc, attr, lo, kc.lo)
+		kc.lo = lo
+	}
+	if hi > kc.hi {
+		m.fillRows(kc, attr, kc.hi, hi)
+		kc.hi = hi
+	}
+}
+
+// fillRows computes kc's distances and ladder bits on rows [lo, hi).
+// Each present row sets the bit of the first rung at least its
+// distance; the rungs are then prefix-ORed, so rung r holds every
+// present row within rung r's threshold. The words' other rows keep
+// their bits.
+func (m *Matcher) fillRows(kc *keptCol, attr, lo, hi int) {
+	m.Column(kc.d[lo:hi], attr, kc.q, lo, kc.limit)
+	rs, below := m.rungs[attr], m.below[attr]
+	top := math.Inf(-1)
+	if len(rs) > 0 {
+		top = rs[len(rs)-1]
+	}
+	first := m.first[:len(rs)]
+	words := (kc.n + 63) >> 6
+	for w := lo >> 6; w<<6 < hi; w++ {
+		r0, r1 := max(lo, w<<6), min(hi, (w+1)<<6)
+		var present uint64
+		for j, d := range kc.d[r0:r1] {
+			if d != d { // missing
+				continue
+			}
+			bit := uint64(1) << uint((r0+j)&63)
+			present |= bit
+			if d > top {
+				continue
+			}
+			k := int(d) // d in (k-1, k] after the next line
+			if float64(k) < d {
+				k++
+			}
+			r := below[min(k, len(below)-1)]
+			for rs[r] < d {
+				r++
+			}
+			first[r] |= bit
+		}
+		span := ^uint64(0) >> uint(64-(r1-r0)) << uint(r0&63)
+		kc.lad[w] = kc.lad[w]&^span | present
+		var acc uint64
+		for r := range first {
+			acc |= first[r]
+			first[r] = 0
+			i := (r+1)*words + w
+			kc.lad[i] = kc.lad[i]&^span | acc
+		}
+	}
+}
+
 // MaxBlock is the largest block a RowPass evaluates at once; it is
 // also how often a pass can notice an expired context.
 const MaxBlock = CheckEvery
 
 // RowPass evaluates rules for one query row, a block of rows at a
 // time. Register the rules (Rule), start a pass (Scan), and for each
-// block (Next) read each rule's matching rows (And). The buffers are
-// the owning Matcher's and are reused from pass to pass; a RowPass is
-// as single-goroutine as its Matcher.
+// block (Next) read each rule's matching rows (And). The tests read the
+// Matcher's kept columns of the query row, so every pass of the same
+// row computes each column once; the buffers are the Matcher's and are
+// reused from pass to pass. A RowPass is as single-goroutine as its
+// Matcher.
 type RowPass struct {
 	m     *Matcher
 	tests []rowTest
+	head  []int32    // per attribute: its first test, -1 when none
 	lits  []int32    // per rule: its test ids
 	rules []passRule // registered rules in order
-	col   []float64  // one attribute's column over the block
 	bits  []uint64   // a bitset per test, one per rule (And), one for Union
 
 	q, lo, hi, end int // query row, range, current block's end
@@ -167,14 +272,13 @@ type RowPass struct {
 }
 
 // rowTest is one distinct threshold test. The tests of one attribute
-// form a chain from its first; the head carries the chain's largest
-// threshold, the limit its column is capped at.
+// form a chain from its head; the head carries the chain's largest
+// threshold, the least cap its column needs.
 type rowTest struct {
-	attr   int
 	th     float64
 	breach bool  // "present and > th" rather than "≤ th"
-	head   bool  // first test on attr
-	next   int32 // next test on attr, -1 at the end
+	rung   int32 // th's rung on the kept column's ladder, or -1
+	next   int32 // next test on the attribute, -1 at the end
 	last   int32 // head only: the chain's last test
 	limit  float64
 }
@@ -188,6 +292,7 @@ type passRule struct {
 // Pass returns the matcher's RowPass with no rules registered and
 // room for registering any subset of sigma without growing.
 func (m *Matcher) Pass(sigma rfd.Set) *RowPass {
+	m.size()
 	p := &m.pass
 	p.m = m
 	lits := 0
@@ -197,6 +302,10 @@ func (m *Matcher) Pass(sigma rfd.Set) *RowPass {
 	p.tests = slices.Grow(p.tests[:0], lits)
 	p.lits = slices.Grow(p.lits[:0], lits)
 	p.rules = slices.Grow(p.rules[:0], len(sigma))
+	p.head = slices.Grow(p.head[:0], m.v.m)[:m.v.m]
+	for a := range p.head {
+		p.head[a] = -1
+	}
 	return p
 }
 
@@ -230,24 +339,18 @@ func (p *RowPass) Rule(dep *rfd.RFD, skipAttr int, breach bool, tag int) bool {
 
 // test returns the id of the (attr, th, breach) test, registering it.
 func (p *RowPass) test(attr int, th float64, breach bool) int32 {
-	head := int32(-1)
-	for i := range p.tests {
-		t := &p.tests[i]
-		if t.attr != attr {
-			continue
-		}
-		if t.th == th && t.breach == breach {
-			return int32(i)
-		}
-		if t.head {
-			head = int32(i)
+	head := p.head[attr]
+	for t := head; t >= 0; t = p.tests[t].next {
+		if p.tests[t].th == th && p.tests[t].breach == breach {
+			return t
 		}
 	}
 	id := int32(len(p.tests))
-	p.tests = append(p.tests, rowTest{attr: attr, th: th, breach: breach, next: -1})
+	p.tests = append(p.tests, rowTest{th: th, breach: breach, rung: p.m.rungOf(attr, th), next: -1})
 	if head < 0 {
+		p.head[attr] = id
 		t := &p.tests[id]
-		t.head, t.last, t.limit = true, id, th
+		t.last, t.limit = id, th
 		return id
 	}
 	h := &p.tests[head]
@@ -271,9 +374,6 @@ func (p *RowPass) Tag(h int) int { return p.rules[h].tag }
 func (p *RowPass) Scan(q, lo, hi int, grow bool) {
 	p.q, p.lo, p.hi, p.end, p.grow, p.n = q, lo, lo, hi, grow, 0
 	rows := min(hi-lo, MaxBlock)
-	if cap(p.col) < rows {
-		p.col = make([]float64, rows)
-	}
 	if need := p.bitRows() * ((rows + 63) >> 6); cap(p.bits) < need {
 		p.bits = make([]uint64, need, max(need, 2*cap(p.bits)))
 	}
@@ -293,14 +393,14 @@ func (p *RowPass) Next() bool {
 	p.hi = p.lo + p.n
 	p.words = (p.n + 63) >> 6
 	p.bits = p.bits[:p.bitRows()*p.words]
-	col := p.col[:p.n]
-	for i := range p.tests {
-		if !p.tests[i].head {
+	for a, head := range p.head {
+		if head < 0 {
 			continue
 		}
-		p.m.Column(col, p.tests[i].attr, p.q, p.lo, p.tests[i].limit)
-		for t := int32(i); t >= 0; t = p.tests[t].next {
-			p.fill(t, col)
+		kc := p.m.keptFor(a, p.q, p.tests[head].limit)
+		p.m.fill(kc, a, p.lo, p.hi)
+		for t := head; t >= 0; t = p.tests[t].next {
+			p.fillTest(t, kc)
 		}
 	}
 	return true
@@ -313,29 +413,65 @@ func (p *RowPass) bitRows() int { return len(p.tests) + len(p.rules) + 1 }
 // bitset is row Lo()+k.
 func (p *RowPass) Lo() int { return p.lo }
 
-// fill sets test t's bitset over the block from its attribute's column,
-// in the comparison forms of Pattern.Satisfies and Violates.
-func (p *RowPass) fill(t int32, col []float64) {
+// Dist returns the kept column value of the query row against row j of
+// the current block on attr, which some registered test must read:
+// the exact distance wherever a "≤ th" test on attr holds.
+func (p *RowPass) Dist(attr, j int) float64 { return p.m.kept[attr].d[j] }
+
+// fillTest sets test t's bitset over the block, in the comparison forms
+// of Pattern.Satisfies and Violates. A rung's bitset is a copy of its
+// ladder words, shifted to the block (a breach, of the present mask
+// less the rung); any other threshold is compared row by row, where a
+// missing distance, NaN, fails both "≤ th" and "> th".
+func (p *RowPass) fillTest(t int32, kc *keptCol) {
 	w := p.row(int(t))
-	th, breach := p.tests[t].th, p.tests[t].breach
+	test := &p.tests[t]
+	if r := int(test.rung); r >= 0 {
+		words := (kc.n + 63) >> 6
+		rung := kc.lad[(r+1)*words : (r+2)*words]
+		for wi := range w {
+			at := p.lo + wi<<6
+			if test.breach {
+				w[wi] = wordAt(kc.lad[:words], at) &^ wordAt(rung, at)
+			} else {
+				w[wi] = wordAt(rung, at)
+			}
+		}
+		if tail := p.n & 63; tail != 0 {
+			w[len(w)-1] &= 1<<uint(tail) - 1
+		}
+		return
+	}
+	col, th := kc.d[p.lo:p.hi], test.th
 	for wi := range w {
 		seg := col[wi<<6 : min((wi+1)<<6, len(col))]
 		var x uint64
-		if breach {
+		if test.breach {
 			for k, d := range seg {
-				if !distance.IsMissing(d) && d > th {
+				if d > th {
 					x |= 1 << uint(k)
 				}
 			}
 		} else {
 			for k, d := range seg {
-				if !distance.IsMissing(d) && d <= th {
+				if d <= th {
 					x |= 1 << uint(k)
 				}
 			}
 		}
 		w[wi] = x
 	}
+}
+
+// wordAt returns the 64 bits of set starting at bit at; bits past the
+// end of set read 0.
+func wordAt(set []uint64, at int) uint64 {
+	i, s := at>>6, uint(at&63)
+	x := set[i] >> s
+	if s != 0 && i+1 < len(set) {
+		x |= set[i+1] << (64 - s)
+	}
+	return x
 }
 
 // row returns block bitset number i.
@@ -363,6 +499,11 @@ func (p *RowPass) And(h int) []uint64 {
 // Set returns rule h's bitset as And last computed it on this block.
 func (p *RowPass) Set(h int) []uint64 { return p.row(len(p.tests) + h) }
 
+// Has reports whether bit k is set in Set(h).
+func (p *RowPass) Has(h, k int) bool {
+	return p.bits[(len(p.tests)+h)*p.words+k>>6]&(1<<uint(k&63)) != 0
+}
+
 // Union returns the OR of every rule's bitset as And last computed it
 // on this block.
 func (p *RowPass) Union() []uint64 {
@@ -377,9 +518,6 @@ func (p *RowPass) Union() []uint64 {
 	}
 	return u
 }
-
-// Has reports whether bit k is set in a block bitset.
-func Has(set []uint64, k int) bool { return set[k>>6]&(1<<uint(k&63)) != 0 }
 
 // Any reports whether a block bitset has a set bit.
 func Any(set []uint64) bool {

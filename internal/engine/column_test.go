@@ -115,9 +115,9 @@ func TestRowPassMatchesPairs(t *testing.T) {
 						if h%2 == 1 {
 							want = want && m.Violates(dep, q, j)
 						}
-						if Has(set, k) != want {
+						if p.Has(h, k) != want {
 							t.Fatalf("rule %d row %d (q %d, block [%d,%d)): bit %v, pairs %v",
-								h, j, q, start, end, Has(set, k), want)
+								h, j, q, start, end, p.Has(h, k), want)
 						}
 					}
 				}
@@ -153,7 +153,9 @@ func TestRowPassRefusesInexact(t *testing.T) {
 }
 
 // TestColumnZeroAlloc: once a pass's buffers are sized, columns and
-// passes allocate nothing.
+// passes allocate nothing — cold, and warm on kept columns and ladders
+// (Keep's rungs and a threshold that is not one), alternating query
+// rows so each pass refills the columns the last one kept.
 func TestColumnZeroAlloc(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(34))
@@ -164,12 +166,15 @@ func TestColumnZeroAlloc(t *testing.T) {
 		rfd.MustParse("S(<=2) -> I(<=1)", schema),
 		rfd.MustParse("I(<=1), F(<=0.5) -> S(<=3)", schema),
 	}
+	offRung := rfd.MustParse("S(<=1), F(<=1.5) -> B(<=0)", schema)
+	q := 7
 	run := func() {
 		p := m.Pass(sigma)
 		for s, dep := range sigma {
 			p.Rule(dep, -1, true, s)
 		}
-		p.Scan(7, 0, v.Len(), true)
+		p.Rule(offRung, -1, false, len(sigma))
+		p.Scan(q, 0, v.Len(), true)
 		for p.Next() {
 			for h := 0; h < p.Rules(); h++ {
 				p.And(h)
@@ -179,5 +184,93 @@ func TestColumnZeroAlloc(t *testing.T) {
 	run()
 	if n := testing.AllocsPerRun(50, run); n != 0 {
 		t.Errorf("%.1f allocs per pass, want 0", n)
+	}
+	m.Keep(sigma)
+	run()
+	if n := testing.AllocsPerRun(50, run); n != 0 {
+		t.Errorf("%.1f allocs per warm pass, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { q = 15 - q; run() }); n != 0 {
+		t.Errorf("%.1f allocs per refilling pass, want 0", n)
+	}
+}
+
+// TestKeptColumnsMatchPairs: passes that read kept columns and ladders
+// agree with the per-pair MatchesLHS and Violates, pass after pass, on
+// one matcher whose rungs are a random Σ's thresholds: query rows
+// repeat and change, ranges start and end off word boundaries, rules
+// carry thresholds that are no rung and thresholds above every rung,
+// and random writes land between passes, on the query row and on
+// others.
+func TestKeptColumnsMatchPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	ths := []float64{0, 0.5, 1, 2, 3, 9}
+	randomRules := func(v *View, ths []float64) rfd.Set {
+		var sigma rfd.Set
+		for k := 1 + rng.Intn(5); k > 0; k-- {
+			var lhs []rfd.Constraint
+			rhs := rng.Intn(v.Arity())
+			for _, a := range rng.Perm(v.Arity()) {
+				if a != rhs && (len(lhs) == 0 || rng.Intn(3) == 0) {
+					lhs = append(lhs, rfd.Constraint{Attr: a, Threshold: ths[rng.Intn(len(ths))]})
+				}
+			}
+			sigma = append(sigma, rfd.MustNew(lhs, rfd.Constraint{Attr: rhs, Threshold: ths[rng.Intn(len(ths))]}))
+		}
+		return sigma
+	}
+	donor := randomMixedRelation(rng, 40)
+	passes, writes := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		for _, v := range columnViews(rng, 1+rng.Intn(300)) {
+			m := v.Matcher()
+			m.Keep(randomRules(v, ths[:4]))
+			q := rng.Intn(v.Len())
+			for step := 0; step < 12; step++ {
+				if rng.Intn(3) == 0 {
+					q = rng.Intn(v.Len())
+				}
+				// Mostly Keep's thresholds, now and then one that is no
+				// rung (1.5) or above every rung (3, 9).
+				sigma := randomRules(v, append(ths[:4:4], 1.5, 3, 9)[:4+rng.Intn(4)])
+				lo := rng.Intn(v.Len())
+				hi := lo + rng.Intn(v.Len()-lo+1)
+				p := m.Pass(sigma)
+				for s, dep := range sigma {
+					p.Rule(dep, -1, s%2 == 1, s)
+				}
+				p.Scan(q, lo, hi, step%2 == 0)
+				for p.Next() {
+					for h := 0; h < p.Rules(); h++ {
+						set, dep := p.And(h), sigma[p.Tag(h)]
+						for k := 0; k < len(set)*64; k++ {
+							j := p.Lo() + k
+							want := j < p.Lo()+p.n && j != q && m.MatchesLHS(dep, q, j)
+							if h%2 == 1 {
+								want = want && m.Violates(dep, q, j)
+							}
+							if p.Has(h, k) != want {
+								t.Fatalf("trial %d step %d rule %d row %d (q %d, [%d,%d)): bit %v, pairs %v",
+									trial, step, h, j, q, lo, hi, p.Has(h, k), want)
+							}
+						}
+					}
+				}
+				passes++
+				if rng.Intn(2) == 0 {
+					row := rng.Intn(v.TargetLen())
+					if rng.Intn(2) == 0 {
+						row = min(q, v.TargetLen()-1)
+					}
+					a := rng.Intn(v.Arity() - 1) // X mixes kinds; keep writes typed
+					v.Set(row, a, donor.Get(rng.Intn(donor.Len()), a))
+					writes++
+				}
+			}
+			m.Release()
+		}
+	}
+	if writes == 0 || passes == 0 {
+		t.Fatal("no pass or no write")
 	}
 }

@@ -9,7 +9,8 @@
 //     so equal interned values short-circuit to distance 0 and the
 //     banded Levenshtein kernel early-exits on length difference;
 //   - one Matcher API (Distance / Within / MatchesLHS / Violates /
-//     DistMin / PatternBetween) plus a generalized candidate Index.
+//     DistMin / PatternBetween) plus RowPass, which answers rules for
+//     one query row over its kept distance columns (column.go).
 //
 // A View addresses rows by flat index: the target relation's rows come
 // first ([0, TargetLen)), then each donor relation's rows in pool
@@ -28,11 +29,14 @@ import (
 // col is one attribute's columnar storage across all flat rows.
 // Strings are represented by interned ids (sid); numerics and booleans
 // by their float payload (num). Exactly one of the two is meaningful
-// per cell, per kind.
+// per cell, per kind. writes counts the cells Set and Append have
+// written since compile, so a Matcher's kept column on the attribute
+// is valid while it is unchanged.
 type col struct {
-	kind []dataset.Kind
-	num  []float64
-	sid  []int32
+	kind   []dataset.Kind
+	num    []float64
+	sid    []int32
+	writes uint64
 }
 
 // interner assigns dense ids to the distinct string values of one
@@ -237,6 +241,7 @@ func (v *View) Set(row, attr int, val dataset.Value) {
 	}
 	v.rels[0].Set(row, attr, val)
 	v.setCell(row, attr, val)
+	v.cols[attr].writes++
 }
 
 // Append adds one tuple to a single-relation view (the incremental
@@ -261,6 +266,7 @@ func (v *View) Append(t dataset.Tuple) error {
 		c.num = append(c.num, 0)
 		c.sid = append(c.sid, -1)
 		v.setCell(flat, a, t[a])
+		c.writes++
 	}
 	return nil
 }

@@ -48,10 +48,6 @@ const (
 	CtrClustersScanned
 	// CtrKeyFlips counts key-RFDcs that became non-key mid-run.
 	CtrKeyFlips
-	// CtrIndexHits counts candidate scans answered by the donor index.
-	CtrIndexHits
-	// CtrIndexMisses counts candidate scans that needed the full sweep.
-	CtrIndexMisses
 	// CtrStreamAppends counts tuples absorbed by incremental sessions.
 	CtrStreamAppends
 	// CtrDiscoveryPatterns counts tuple-pair distance patterns
@@ -82,9 +78,6 @@ const (
 	// by the alphabet-mask pre-filter alone (also counted as early
 	// exits).
 	CtrLevenshteinMaskRejects
-	// CtrEngineIndexProbes counts candidate-index probes (equality
-	// bucket, numeric range, or length bucket) answered by the engine.
-	CtrEngineIndexProbes
 	// CtrServeAccepted counts requests admitted by the serve-mode gate.
 	CtrServeAccepted
 	// CtrServeRejected counts requests shed with 429 because the
@@ -140,8 +133,6 @@ var counterNames = [...]string{
 	CtrFaultlessFailures:      "faultless_failures",
 	CtrClustersScanned:        "clusters_scanned",
 	CtrKeyFlips:               "key_flips",
-	CtrIndexHits:              "index_hits",
-	CtrIndexMisses:            "index_misses",
 	CtrStreamAppends:          "stream_appends",
 	CtrDiscoveryPatterns:      "discovery_patterns",
 	CtrDiscoveryRFDs:          "discovery_rfds",
@@ -152,7 +143,6 @@ var counterNames = [...]string{
 	CtrLevenshteinMyers:       "levenshtein_myers",
 	CtrLevenshteinBanded:      "levenshtein_banded",
 	CtrLevenshteinMaskRejects: "levenshtein_mask_rejects",
-	CtrEngineIndexProbes:      "engine_index_probes",
 	CtrServeAccepted:          "serve_accepted",
 	CtrServeRejected:          "serve_rejected",
 	CtrServeTimeouts:          "serve_timeouts",
@@ -302,8 +292,6 @@ var counterHelp = [...]string{
 	CtrFaultlessFailures:      "IS_FAULTLESS rejections.",
 	CtrClustersScanned:        "RHS-threshold clusters examined.",
 	CtrKeyFlips:               "Key-RFDcs that became non-key mid-run.",
-	CtrIndexHits:              "Candidate scans answered by the donor index.",
-	CtrIndexMisses:            "Candidate scans that needed the full sweep.",
 	CtrStreamAppends:          "Tuples absorbed by incremental sessions.",
 	CtrDiscoveryPatterns:      "Tuple-pair distance patterns materialized during RFDc discovery.",
 	CtrDiscoveryRFDs:          "RFDcs emitted by discovery.",
@@ -314,7 +302,6 @@ var counterHelp = [...]string{
 	CtrLevenshteinMyers:       "Edit-distance computations answered by the bit-parallel Myers kernel.",
 	CtrLevenshteinBanded:      "Edit-distance computations that ran the banded dynamic program.",
 	CtrLevenshteinMaskRejects: "Bounded-predicate calls rejected by the alphabet-mask pre-filter alone.",
-	CtrEngineIndexProbes:      "Candidate-index probes answered by the engine.",
 	CtrServeAccepted:          "Requests admitted by the serve-mode gate.",
 	CtrServeRejected:          "Requests shed with 429 because the admission queue was full.",
 	CtrServeTimeouts:          "Serve-mode requests aborted by the per-request deadline or a client disconnect.",

@@ -21,17 +21,17 @@ func TestCounterAddAndSnapshot(t *testing.T) {
 	}
 	m.Add(CtrVerifyPlans, 9)
 	m.Add(CtrVerifyArmedRows, 4)
-	m.Add(CtrEngineIndexProbes, 2)
+	m.Add(CtrLevenshteinMaskRejects, 2)
 	s := m.Snapshot()
 	if s.Counters["candidates_evaluated"] != 7 || s.Counters["faultless_checks"] != 1 {
 		t.Fatalf("snapshot counters = %v", s.Counters)
 	}
-	// The verify-plan and engine counters flow into the snapshot under
+	// The verify-plan and kernel counters flow into the snapshot under
 	// their wire names.
 	if s.Counters["verify_plans"] != 9 ||
 		s.Counters["verify_armed_rows"] != 4 ||
-		s.Counters["engine_index_probes"] != 2 {
-		t.Fatalf("snapshot verify/engine counters = %v", s.Counters)
+		s.Counters["levenshtein_mask_rejects"] != 2 {
+		t.Fatalf("snapshot verify/kernel counters = %v", s.Counters)
 	}
 	// Every counter name must be present, even untouched ones.
 	if len(s.Counters) != numCounters {

@@ -13,7 +13,7 @@ func TestWritePrometheus(t *testing.T) {
 	m.Add(CtrImputations, 3)
 	m.Add(CtrLevenshteinCalls, 7)
 	m.Add(CtrLevenshteinMyers, 2)
-	m.Add(CtrEngineIndexProbes, 5)
+	m.Add(CtrLevenshteinMaskRejects, 5)
 	m.Time(PhaseVerify, 1500*time.Microsecond)
 	m.Observe(HistAttemptsPerImputation, 1)
 	m.Observe(HistAttemptsPerImputation, 4)
@@ -30,7 +30,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE renuver_levenshtein_calls_total counter",
 		"renuver_levenshtein_calls_total 7",
 		"renuver_levenshtein_myers_total 2",
-		"renuver_engine_index_probes_total 5",
+		"renuver_levenshtein_mask_rejects_total 5",
 		`renuver_phase_seconds_total{phase="verify"} 0.0015`,
 		`renuver_phase_events_total{phase="verify"} 1`,
 		"# TYPE renuver_attempts_per_imputation histogram",
