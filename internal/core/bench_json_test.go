@@ -89,7 +89,7 @@ func TestBenchJSON(t *testing.T) {
 			bigMatcher := engine.Compile(big).Matcher()
 			bigMatcher.Keep(bigSigma)
 			for i := 0; i < b.N; i++ {
-				findCandidateTuples(context.Background(), bigMatcher, 3, phone, deps)
+				findCandidateTuples(context.Background(), bigMatcher, 3, phone, deps, nil)
 			}
 		})),
 		record("Levenshtein", testing.Benchmark(func(b *testing.B) {

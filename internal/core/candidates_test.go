@@ -23,12 +23,12 @@ func TestCandidateSearchEqualityPremise(t *testing.T) {
 	defer m.Release()
 	m.Keep(sigma)
 	city := rel.Schema().MustIndex("City")
-	got := findCandidateTuples(context.Background(), m, 5, city, sigma)
+	got := findCandidateTuples(context.Background(), m, 5, city, sigma, nil)
 	// Name "Fenix Argyle" against "Fenix" is 7 edits, Phone 0.
 	if want := []candidate{{row: 4, dist: 3.5}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("candidates of t6[City] = %v, want %v", got, want)
 	}
-	if got := findCandidateTuples(context.Background(), m, 3, city, sigma); len(got) != 0 {
+	if got := findCandidateTuples(context.Background(), m, 3, city, sigma, nil); len(got) != 0 {
 		t.Errorf("t4 has no phone, yet candidates %v", got)
 	}
 }
@@ -45,12 +45,12 @@ func TestCandidateSearchSeesWrite(t *testing.T) {
 	m.Keep(sigma)
 	city, phone := rel.Schema().MustIndex("City"), rel.Schema().MustIndex("Phone")
 	ctx := context.Background()
-	if got := findCandidateTuples(ctx, m, 5, city, sigma); len(got) != 1 {
+	if got := findCandidateTuples(ctx, m, 5, city, sigma, nil); len(got) != 1 {
 		t.Fatalf("before the write: candidates %v, want t5 alone", got)
 	}
 	// Give t4 (row 3, missing phone) the shared Fenix phone.
 	v.Set(3, phone, rel.Get(4, phone))
-	got := findCandidateTuples(ctx, m, 5, city, sigma)
+	got := findCandidateTuples(ctx, m, 5, city, sigma, nil)
 	if want := []candidate{{row: 3}, {row: 4}}; !reflect.DeepEqual(got, want) {
 		t.Errorf("candidates after the write = %v, want %v", got, want)
 	}
@@ -96,8 +96,8 @@ func TestColumnSearchMatchesPairSweep(t *testing.T) {
 		checkRow := func(stage string, m *engine.Matcher, q int, attrs ...int) {
 			for _, a := range attrs {
 				for _, cl := range im.clustersFor(sigma, a) {
-					got := findCandidateTuples(ctx, m, q, a, cl.RFDs)
-					want := candidatesLiteral(ctx, m, q, a, cl.RFDs)
+					got := findCandidateTuples(ctx, m, q, a, cl.RFDs, nil)
+					want := candidatesLiteral(ctx, m, q, a, cl.RFDs, nil)
 					sweeps++
 					candidates += len(want)
 					if !exactLHS(cl.RFDs) {

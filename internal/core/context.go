@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -51,11 +52,13 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	m := eng.Matcher()
 	defer m.Release()
 	m.Keep(im.sigma)
-	var plan verifyPlan
+	rs := takeRunState()
+	defer rs.release()
+	kt := &rs.kt
 
 	preStart := time.Now()
 	preSpan := sp.Child("preprocess")
-	kt := newKeyTracker(ctx, m, im.sigma)
+	kt.init(ctx, m, im.sigma)
 	res.Stats.KeyRFDs = kt.keys
 	incomplete := work.IncompleteRows()
 	res.Stats.MissingCells = work.CountMissing()
@@ -78,14 +81,12 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 				im.finishRun(res, eng, runStart, sp)
 				return res, engine.Canceled(ctx)
 			}
-			sigmaPrime := kt.nonKeys()
-			clusters := im.clustersFor(sigmaPrime, attr)
 			cell := sp.Child("cell")
 			if cell.Enabled() {
 				cell.Int("row", int64(row))
 				cell.Str("attr", schema.Attr(attr).Name)
 			}
-			imputed, err := im.imputeMissingValue(ctx, m, &plan, row, attr, sigmaPrime, clusters, res, cell)
+			imputed, err := im.imputeMissingValue(ctx, m, rs, row, attr, res, cell)
 			if cell.Enabled() {
 				if imputed {
 					cell.Int("imputed", 1)
@@ -116,6 +117,49 @@ func (im *Imputer) runImpute(ctx context.Context, work *dataset.Relation, eng *e
 	}
 	im.finishRun(res, eng, runStart, sp)
 	return res, nil
+}
+
+// runState is what a run goroutine carries from cell to cell: the key
+// tracker with its rule cache, the verify plan with its memo, and the
+// candidate buffer. Runs take one from a free list and give it back, so
+// a steady stream of runs reuses its buffers; like the matcher pool's,
+// the list keeps at most maxFreeRuns.
+type runState struct {
+	kt    keyTracker
+	plan  verifyPlan
+	cands []candidate
+}
+
+var runStates struct {
+	sync.Mutex
+	free []*runState
+}
+
+const maxFreeRuns = 64
+
+// takeRunState returns a run state from the free list, or a new one.
+func takeRunState() *runState {
+	runStates.Lock()
+	defer runStates.Unlock()
+	if n := len(runStates.free); n > 0 {
+		rs := runStates.free[n-1]
+		runStates.free[n-1] = nil
+		runStates.free = runStates.free[:n-1]
+		return rs
+	}
+	return &runState{}
+}
+
+// release drops the state's references into the finished run and
+// returns it to the free list. The caller must not use it afterwards.
+func (rs *runState) release() {
+	rs.kt.forget()
+	rs.plan.rules = nil
+	runStates.Lock()
+	if len(runStates.free) < maxFreeRuns {
+		runStates.free = append(runStates.free, rs)
+	}
+	runStates.Unlock()
 }
 
 // finishRun seals the result (tail counters, total wall clock) and

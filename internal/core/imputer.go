@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/dataset"
@@ -221,23 +222,25 @@ type candidate struct {
 // reverted) but the cell unresolved. m is the run's matcher over the
 // compiled view of the working relation (plus, for the multi-dataset
 // extension, the donor pool): candidate rows are flat view indices.
-// plan is the run's verify plan, rebuilt for this cell by its first
-// untraced verification and reused by every later candidate of every
-// cluster.
-func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, plan *verifyPlan, row, attr int,
-	sigmaPrime rfd.Set, clusters []rfd.Cluster, res *Result, cell obs.Span) (bool, error) {
+// Σ', Λ_Σ'_A and the verify terms come from rs's key tracker, and
+// rs.plan is rebuilt for this cell by its first untraced verification
+// and reused by every later candidate of every cluster.
+func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, rs *runState, row, attr int,
+	res *Result, cell obs.Span) (bool, error) {
 
 	rec := im.opts.recorder()
 	eng := m.View()
 	work := eng.Relation()
 	ct := obs.StartCell(im.opts.Tracer, row, attr)
+	rules := rs.kt.rulesFor(im, attr, ct != nil)
 	if ct != nil {
-		ct.Add(obs.CellStarted(len(clusters)))
+		ct.Add(obs.CellStarted(len(rules.clusters)))
 		defer res.addTrace(dataset.Cell{Row: row, Attr: attr}, ct)
 	}
-	plan.reset(row, attr)
+	plan := &rs.plan
+	plan.reset(row, attr, rules)
 	anyCandidate := false
-	for _, cluster := range clusters {
+	for _, cluster := range rules.clusters {
 		if ctx.Err() != nil {
 			return false, engine.Canceled(ctx)
 		}
@@ -249,7 +252,8 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, pl
 		searchSpan := cell.Child("candidate_search")
 		donorPool := eng.Len() - 1
 		res.Stats.DonorsScanned += donorPool
-		cands := findCandidateTuples(ctx, m, row, attr, cluster.RFDs)
+		cands := findCandidateTuples(ctx, m, row, attr, cluster.RFDs, rs.cands[:0])
+		rs.cands = cands
 		if searchSpan.Enabled() {
 			searchSpan.Int("donor_pool", int64(donorPool))
 			searchSpan.Int("candidates", int64(len(cands)))
@@ -276,11 +280,11 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, pl
 			// Ascending dist; ties broken by flat row index, which orders
 			// target rows before donor-pool rows — the same (source, row)
 			// tiebreak as before.
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].dist != cands[j].dist {
-					return cands[i].dist < cands[j].dist
+			slices.SortFunc(cands, func(a, b candidate) int {
+				if c := cmp.Compare(a.dist, b.dist); c != 0 {
+					return c
 				}
-				return cands[i].row < cands[j].row
+				return cmp.Compare(a.row, b.row)
 			})
 			if rankSpan.Enabled() {
 				rankSpan.Int("ranked", int64(len(cands)))
@@ -296,69 +300,41 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, pl
 		if im.opts.MaxCandidates > 0 && im.opts.MaxCandidates < limit {
 			limit = im.opts.MaxCandidates
 		}
+		verifyStart := time.Now()
 		verifySpan := cell.Child("verify")
 		plannedBefore := plan.state != planPending
-		for k := 0; k < limit; k++ {
-			if ctx.Err() != nil {
-				verifySpan.End()
-				return false, engine.Canceled(ctx)
-			}
-			cand := cands[k]
-			source, donorRow := eng.SourceOf(cand.row)
-			value := eng.Value(cand.row, attr)
-			eng.Set(row, attr, value) // tentative t[A] <- t_j[A]
-			res.Stats.CandidatesTried++
-			res.Stats.FaultlessChecks++
-			verifyStart := time.Now()
-			var faultless bool
-			if ct != nil {
-				// Traced cells take the serial witness-reporting verifier:
-				// the violated RFDc and witness row are part of the trace,
-				// and per-cell serial verification keeps the event order
-				// deterministic. Sampling keeps this affordable.
-				ok, violated, witness := im.isFaultlessWitness(ctx, m, row, attr, sigmaPrime)
-				faultless = ok
-				ct.Add(obs.FaultlessVerdict(donorRow, k+1, ok))
-				if !ok && violated != nil {
-					// violated is nil when the verifier was aborted by an
-					// expired context: no witness to report, and the
-					// ctx check below discards the attempt anyway.
-					ct.Add(obs.CandidateRejected(donorRow, source, k+1,
-						violated.Format(work.Schema()), witness))
-				}
-			} else {
-				faultless = plan.faultless(ctx, im, m, sigmaPrime)
-			}
-			res.Stats.Phases.Verify += time.Since(verifyStart)
-			if ctx.Err() != nil {
-				// A verdict reached under an expired context is not
-				// trusted: revert the tentative value and bail.
-				eng.Set(row, attr, dataset.Null)
-				verifySpan.End()
-				return false, engine.Canceled(ctx)
-			}
-			if faultless {
-				res.Imputations = append(res.Imputations, Imputation{
-					Cell:             dataset.Cell{Row: row, Attr: attr},
-					Value:            value,
-					Donor:            donorRow,
-					DonorSource:      source,
-					Distance:         cand.dist,
-					ClusterThreshold: cluster.Threshold,
-					Attempt:          k + 1,
-				})
-				res.Stats.countImputed(attr, work.Schema().Len())
-				if rec.Enabled() {
-					rec.Observe(obs.HistAttemptsPerImputation, float64(k+1))
-				}
-				ct.Add(obs.CellResolved(donorRow, source, value.String(), cand.dist, k+1))
-				endVerifySpan(verifySpan, k+1, 1, plan, plannedBefore)
-				return true, nil
-			}
-			res.Stats.VerifyRejections++
-			eng.Set(row, attr, dataset.Null) // revert
+		k, hits, err := im.tryCandidates(ctx, m, plan, row, attr, cands[:limit], res, ct)
+		res.Stats.Phases.Verify += time.Since(verifyStart)
+		if hits > 0 && rec.Enabled() {
+			rec.Add(obs.CtrVerifyMemoHits, int64(hits))
 		}
-		endVerifySpan(verifySpan, limit, 0, plan, plannedBefore)
+		if err != nil {
+			verifySpan.End()
+			return false, err
+		}
+		if k < 0 {
+			endVerifySpan(verifySpan, limit, 0, hits, plan, plannedBefore)
+			continue
+		}
+		cand := cands[k]
+		source, donorRow := eng.SourceOf(cand.row)
+		value := eng.Value(cand.row, attr)
+		res.Imputations = append(res.Imputations, Imputation{
+			Cell:             dataset.Cell{Row: row, Attr: attr},
+			Value:            value,
+			Donor:            donorRow,
+			DonorSource:      source,
+			Distance:         cand.dist,
+			ClusterThreshold: cluster.Threshold,
+			Attempt:          k + 1,
+		})
+		res.Stats.countImputed(attr, work.Schema().Len())
+		if rec.Enabled() {
+			rec.Observe(obs.HistAttemptsPerImputation, float64(k+1))
+		}
+		ct.Add(obs.CellResolved(donorRow, source, value.String(), cand.dist, k+1))
+		endVerifySpan(verifySpan, k+1, 1, hits, plan, plannedBefore)
+		return true, nil
 	}
 	if ct != nil {
 		note := "no plausible candidate tuple in any cluster"
@@ -370,16 +346,81 @@ func (im *Imputer) imputeMissingValue(ctx context.Context, m *engine.Matcher, pl
 	return false, nil
 }
 
+// tryCandidates is Algorithm 2's inner loop over one cluster's ranked
+// candidates: each value is written tentatively to t[A], checked with
+// IS_FAULTLESS and reverted when rejected. It returns the index of the
+// first candidate that passes, leaving its value in t[A], or -1, and
+// the memo hits: an untraced cell rejects a value it already rejected
+// from the plan's memo, with no write and no check. Stats count that
+// candidate as tried and rejected all the same.
+func (im *Imputer) tryCandidates(ctx context.Context, m *engine.Matcher, plan *verifyPlan, row, attr int,
+	cands []candidate, res *Result, ct *obs.CellTrace) (accepted, memoHits int, err error) {
+
+	eng := m.View()
+	for k, cand := range cands {
+		if ctx.Err() != nil {
+			return -1, memoHits, engine.Canceled(ctx)
+		}
+		res.Stats.CandidatesTried++
+		res.Stats.FaultlessChecks++
+		var key engine.ValueKey
+		if ct == nil {
+			if key = eng.Key(cand.row, attr); plan.rejected(key) {
+				memoHits++
+				res.Stats.VerifyRejections++
+				continue
+			}
+		}
+		eng.Set(row, attr, eng.Value(cand.row, attr)) // tentative t[A] <- t_j[A]
+		var faultless bool
+		if ct != nil {
+			// Traced cells take the serial witness-reporting verifier:
+			// the violated RFDc and witness row are part of the trace,
+			// and per-cell serial verification keeps the event order
+			// deterministic. Sampling keeps this affordable.
+			source, donorRow := eng.SourceOf(cand.row)
+			ok, violated, witness := im.isFaultlessWitness(ctx, m, row, attr, plan.rules.sigma)
+			faultless = ok
+			ct.Add(obs.FaultlessVerdict(donorRow, k+1, ok))
+			if !ok && violated != nil {
+				// violated is nil when the verifier was aborted by an
+				// expired context: no witness to report, and the ctx
+				// check below discards the attempt anyway.
+				ct.Add(obs.CandidateRejected(donorRow, source, k+1,
+					violated.Format(eng.Relation().Schema()), witness))
+			}
+		} else {
+			faultless = plan.faultless(ctx, im, m)
+		}
+		if ctx.Err() != nil {
+			// A verdict reached under an expired context is not
+			// trusted: revert the tentative value and bail.
+			eng.Set(row, attr, dataset.Null)
+			return -1, memoHits, engine.Canceled(ctx)
+		}
+		if faultless {
+			return k, memoHits, nil
+		}
+		res.Stats.VerifyRejections++
+		eng.Set(row, attr, dataset.Null) // revert
+		if ct == nil {
+			plan.reject(key)
+		}
+	}
+	return -1, memoHits, nil
+}
+
 // endVerifySpan closes one cluster's verify span. Beside the attempt
-// count and the outcome it reports the cell's verify plan: planned is 1
-// on the span whose verification built it, armed_rows the target rows
-// it armed.
-func endVerifySpan(sp obs.Span, attempts int, faultless int64, plan *verifyPlan, plannedBefore bool) {
+// count, the outcome and the candidates the memo rejected (memo_hits)
+// it reports the cell's verify plan: planned is 1 on the span whose
+// verification built it, armed_rows the target rows it armed.
+func endVerifySpan(sp obs.Span, attempts int, faultless int64, memoHits int, plan *verifyPlan, plannedBefore bool) {
 	if !sp.Enabled() {
 		return
 	}
 	sp.Int("attempts", int64(attempts))
 	sp.Int("faultless", faultless)
+	sp.Int("memo_hits", int64(memoHits))
 	if plan.state == planArmed {
 		planned := int64(0)
 		if !plannedBefore {
@@ -402,18 +443,18 @@ func endVerifySpan(sp obs.Span, attempts int, faultless int64, plan *verifyPlan,
 // read from the columns, exact there because the rule matched, and
 // summed in LHS order, so the score is View.DistMin's bit for bit. A
 // cluster carrying a threshold outside engine.Exact takes the per-pair
-// sweep. The context is checked every engine.CheckEvery rows; an
-// expired context makes the sweep return early with a partial list the
-// caller must discard.
-func findCandidateTuples(ctx context.Context, m *engine.Matcher, row, attr int, deps rfd.Set) []candidate {
+// sweep. The candidates are appended to cands, in row order. The
+// context is checked every engine.CheckEvery rows; an expired context
+// makes the sweep return early with a partial list the caller must
+// discard.
+func findCandidateTuples(ctx context.Context, m *engine.Matcher, row, attr int, deps rfd.Set, cands []candidate) []candidate {
 	p := m.Pass(deps)
 	for h, dep := range deps {
 		if !p.Rule(dep, -1, false, h) {
-			return candidatesLiteral(ctx, m, row, attr, deps)
+			return candidatesLiteral(ctx, m, row, attr, deps, cands)
 		}
 	}
 	v := m.View()
-	var cands []candidate
 	p.Scan(row, 0, v.Len(), false)
 	for p.Next() {
 		if ctx.Err() != nil {
@@ -449,9 +490,8 @@ func findCandidateTuples(ctx context.Context, m *engine.Matcher, row, attr int, 
 
 // candidatesLiteral is findCandidateTuples pair by pair, for clusters
 // carrying a threshold outside engine.Exact.
-func candidatesLiteral(ctx context.Context, m *engine.Matcher, row, attr int, deps rfd.Set) []candidate {
+func candidatesLiteral(ctx context.Context, m *engine.Matcher, row, attr int, deps rfd.Set, cands []candidate) []candidate {
 	v := m.View()
-	var cands []candidate
 	for j := 0; j < v.Len(); j++ {
 		if j%engine.CheckEvery == 0 && ctx.Err() != nil {
 			return cands

@@ -60,7 +60,8 @@ func TestKeyTrackerMatchesPairLoop(t *testing.T) {
 		if !exactLHS(sigma) {
 			literal++
 		}
-		kt := newKeyTracker(context.Background(), v.Matcher(), sigma)
+		kt := &keyTracker{}
+		kt.init(context.Background(), v.Matcher(), sigma)
 		check := func(when string) {
 			t.Helper()
 			want := literalKeys(v, sigma)
@@ -141,7 +142,8 @@ func TestKeyTrackerBlockEdges(t *testing.T) {
 			// Initial scan: row q's pass starts at q+1.
 			rel := distinct(600)
 			rel.Set(q+off, 0, rel.Get(q, 0))
-			kt := newKeyTracker(context.Background(), engine.Compile(rel).Matcher(), sigma)
+			kt := &keyTracker{}
+			kt.init(context.Background(), engine.Compile(rel).Matcher(), sigma)
 			if kt.isKey[0] {
 				t.Errorf("q %d: twin at q+%d not seen by the initial scan", q, off)
 			}
@@ -149,7 +151,8 @@ func TestKeyTrackerBlockEdges(t *testing.T) {
 			rel = distinct(600)
 			rel.Set(q, 0, dataset.Null)
 			v := engine.Compile(rel)
-			kt = newKeyTracker(context.Background(), v.Matcher(), sigma)
+			kt = &keyTracker{}
+			kt.init(context.Background(), v.Matcher(), sigma)
 			if !kt.isKey[0] {
 				t.Fatalf("q %d: key lost before the imputation", q)
 			}

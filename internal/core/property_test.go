@@ -206,7 +206,8 @@ func TestPropertyKeyTrackerAgreesWithDefinition(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		rel := randomInstance(rng)
 		sigma := randomSigma(rng, rel.Schema().Len())
-		kt := newKeyTracker(context.Background(), engine.Compile(rel).Matcher(), sigma)
+		kt := &keyTracker{}
+		kt.init(context.Background(), engine.Compile(rel).Matcher(), sigma)
 		for s, dep := range sigma {
 			if kt.isKey[s] != dep.IsKey(rel) {
 				t.Fatalf("trial %d: tracker says key=%v, definition says %v for dep %d",

@@ -30,9 +30,9 @@ type Stream struct {
 	im *Imputer
 	v  *engine.View
 	m  *engine.Matcher // stream-goroutine kernel arena over v
-	// plan is the stream goroutine's verify plan (buffers reused).
-	plan verifyPlan
-	kt   *keyTracker
+	// rs is the stream goroutine's key tracker, rule cache, verify plan
+	// and candidate buffer, kept for the stream's lifetime.
+	rs runState
 	// stats accumulates over the stream's lifetime.
 	stats Stats
 }
@@ -44,12 +44,9 @@ func (im *Imputer) NewStream(base *dataset.Relation) *Stream {
 	v := engine.Compile(base.Clone())
 	m := v.Matcher()
 	m.Keep(im.sigma)
-	return &Stream{
-		im: im,
-		v:  v,
-		m:  m,
-		kt: newKeyTracker(context.Background(), m, im.sigma),
-	}
+	s := &Stream{im: im, v: v, m: m}
+	s.rs.kt.init(context.Background(), m, im.sigma)
+	return s
 }
 
 // Relation exposes the accumulated instance. Callers must not mutate it.
@@ -71,7 +68,8 @@ func (s *Stream) Append(t dataset.Tuple) ([]Imputation, error) {
 		return nil, err
 	}
 	row := work.Len() - 1
-	s.kt.absorbRow(row)
+	kt := &s.rs.kt
+	kt.absorbRow(row)
 	s.im.opts.recorder().Add(obs.CtrStreamAppends, 1)
 
 	var out []Imputation
@@ -79,14 +77,12 @@ func (s *Stream) Append(t dataset.Tuple) ([]Imputation, error) {
 		s.stats.MissingCells++
 		res := &Result{Relation: work}
 		res.Stats.MissingCells = 1
-		sigmaPrime := s.kt.nonKeys()
-		clusters := s.im.clustersFor(sigmaPrime, attr)
-		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, row, attr, sigmaPrime, clusters, res, obs.Span{}); ok {
+		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.rs, row, attr, res, obs.Span{}); ok {
 			if !s.im.opts.NoKeyReevaluation {
-				before := s.kt.keys
-				s.kt.afterImpute(row, attr)
-				s.stats.KeyFlips += before - s.kt.keys
-				res.Stats.KeyFlips = before - s.kt.keys
+				before := kt.keys
+				kt.afterImpute(row, attr)
+				s.stats.KeyFlips += before - kt.keys
+				res.Stats.KeyFlips = before - kt.keys
 			}
 			out = append(out, res.Imputations...)
 			s.stats.Imputed++
@@ -104,17 +100,16 @@ func (s *Stream) Append(t dataset.Tuple) ([]Imputation, error) {
 // freed key-RFDcs accumulated. It returns the new imputations.
 func (s *Stream) RetryMissing() []Imputation {
 	work := s.v.Relation()
+	kt := &s.rs.kt
 	var out []Imputation
 	for _, cell := range work.MissingCells() {
 		res := &Result{Relation: work}
-		sigmaPrime := s.kt.nonKeys()
-		clusters := s.im.clustersFor(sigmaPrime, cell.Attr)
-		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.plan, cell.Row, cell.Attr, sigmaPrime, clusters, res, obs.Span{}); ok {
+		if ok, _ := s.im.imputeMissingValue(context.Background(), s.m, &s.rs, cell.Row, cell.Attr, res, obs.Span{}); ok {
 			if !s.im.opts.NoKeyReevaluation {
-				before := s.kt.keys
-				s.kt.afterImpute(cell.Row, cell.Attr)
-				s.stats.KeyFlips += before - s.kt.keys
-				res.Stats.KeyFlips = before - s.kt.keys
+				before := kt.keys
+				kt.afterImpute(cell.Row, cell.Attr)
+				s.stats.KeyFlips += before - kt.keys
+				res.Stats.KeyFlips = before - kt.keys
 			}
 			out = append(out, res.Imputations...)
 			s.stats.Imputed++

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/distance"
@@ -85,14 +87,19 @@ func (im *Imputer) relevantForVerify(sigmaPrime rfd.Set, attr int) rfd.Set {
 // armed rows (those with at least one bound) and their bounds; a
 // candidate then costs one or two checks per armed row, through the
 // same Matcher and kernels the scan uses, so the verdict is the
-// literal scan's. The buffers are reused across the cells of a run; one
-// plan belongs to one run goroutine.
+// literal scan's.
+//
+// Since the verdict depends on v alone, the plan also remembers the
+// values it rejected in this cell (memo): a candidate carrying one of
+// them is rejected without being written or checked. The buffers are
+// reused across the cells of a run; one plan belongs to one run
+// goroutine.
 type verifyPlan struct {
 	row, attr int
 	state     planState
-	lhs       []lhsTerm // relevant φ with A on the LHS: RowPass rules 0..
-	rhs       rfd.Set   // VerifyBothSides: relevant φ with RHS A: the rules after
+	rules     *attrRules // the cell's Σ' and verify terms
 	rows      []armedRow
+	memo      map[engine.ValueKey]struct{} // values rejected in this cell
 }
 
 // armedRow is one target row that can witness a violation, with its
@@ -108,6 +115,74 @@ type lhsTerm struct {
 	th  float64
 }
 
+// verifyTerms are the dependencies IS_FAULTLESS re-checks after imputing
+// one attribute A under one Σ', in the order a plan registers them as
+// RowPass rules: lhs (A on the LHS) by θ_A descending, then rhs
+// (VerifyBothSides: RHS A) by θ_RHS ascending with NaN last. Ties keep
+// Σ' order. near groups the lhs rules of equal θ_A, largest first, and
+// far the rhs rules of equal θ_RHS, smallest first; an RHS θ that is
+// NaN or +Inf never lowers a far bound, so its rules are in no group.
+type verifyTerms struct {
+	lhs       []lhsTerm
+	rhs       rfd.Set
+	near, far []boundGroup
+}
+
+// boundGroup is the RowPass rules [lo, hi) that share the bound th.
+type boundGroup struct {
+	th     float64
+	lo, hi int
+}
+
+// build selects the terms for attr under sigmaPrime and mode.
+func (t *verifyTerms) build(mode VerifyMode, sigmaPrime rfd.Set, attr int) {
+	t.lhs, t.rhs = t.lhs[:0], t.rhs[:0]
+	if mode != VerifyOff {
+		for _, dep := range sigmaPrime {
+			for _, c := range dep.LHS {
+				if c.Attr == attr {
+					t.lhs = append(t.lhs, lhsTerm{dep: dep, th: c.Threshold})
+				}
+			}
+			if mode == VerifyBothSides && dep.RHS.Attr == attr {
+				t.rhs = append(t.rhs, dep)
+			}
+		}
+	}
+	slices.SortStableFunc(t.lhs, func(a, b lhsTerm) int { return cmp.Compare(b.th, a.th) })
+	slices.SortStableFunc(t.rhs, func(a, b *rfd.RFD) int {
+		return cmp.Compare(nanLast(a.RHS.Threshold), nanLast(b.RHS.Threshold))
+	})
+	t.near = appendGroups(t.near[:0], len(t.lhs), 0, func(k int) float64 { return t.lhs[k].th })
+	finite := len(t.rhs)
+	for finite > 0 && !(t.rhs[finite-1].RHS.Threshold < math.Inf(1)) {
+		finite--
+	}
+	t.far = appendGroups(t.far[:0], finite, len(t.lhs), func(k int) float64 { return t.rhs[k].RHS.Threshold })
+}
+
+// nanLast orders NaN with +Inf, after every other threshold.
+func nanLast(th float64) float64 {
+	if th != th {
+		return math.Inf(1)
+	}
+	return th
+}
+
+// appendGroups appends a group per run of equal bounds th(0..n-1), as
+// the rules off+k.
+func appendGroups(groups []boundGroup, n, off int, th func(k int) float64) []boundGroup {
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && th(hi) == th(lo) {
+			hi++
+		}
+		groups = append(groups, boundGroup{th: th(lo), lo: off + lo, hi: off + hi})
+		lo = hi
+	}
+	return groups
+}
+
 type planState uint8
 
 const (
@@ -117,24 +192,42 @@ const (
 	planLiteral                  // a threshold outside engine.Exact: scan each candidate
 )
 
-// reset starts a new missing cell; the plan is built by the cell's
-// first untraced verification.
-func (p *verifyPlan) reset(row, attr int) {
-	p.row, p.attr, p.state = row, attr, planPending
+// reset starts a new missing cell under rules, with an empty memo; the
+// plan is built by the cell's first untraced verification. Every
+// cluster of a cell shares its Σ' and instance, so a value rejected in
+// one cluster stays rejected in the next, but not in another cell.
+func (p *verifyPlan) reset(row, attr int, rules *attrRules) {
+	p.row, p.attr, p.state, p.rules = row, attr, planPending, rules
+	clear(p.memo)
+}
+
+// rejected reports whether IS_FAULTLESS already rejected the value k in
+// this cell.
+func (p *verifyPlan) rejected(k engine.ValueKey) bool {
+	_, ok := p.memo[k]
+	return ok
+}
+
+// reject records that IS_FAULTLESS rejected the value k in this cell.
+func (p *verifyPlan) reject(k engine.ValueKey) {
+	if p.memo == nil {
+		p.memo = make(map[engine.ValueKey]struct{})
+	}
+	p.memo[k] = struct{}{}
 }
 
 // faultless is IS_FAULTLESS for the value currently tentatively in
 // t[A]. Under an expired context it returns false, which the caller
 // discards.
-func (p *verifyPlan) faultless(ctx context.Context, im *Imputer, m *engine.Matcher, sigmaPrime rfd.Set) bool {
-	if p.state == planPending && !p.build(ctx, im, m, sigmaPrime) {
+func (p *verifyPlan) faultless(ctx context.Context, im *Imputer, m *engine.Matcher) bool {
+	if p.state == planPending && !p.build(ctx, im, m) {
 		return false
 	}
 	switch p.state {
 	case planEmpty:
 		return true
 	case planLiteral:
-		ok, _, _ := im.isFaultlessWitness(ctx, m, p.row, p.attr, sigmaPrime)
+		ok, _, _ := im.isFaultlessWitness(ctx, m, p.row, p.attr, p.rules.sigma)
 		return ok
 	}
 	for k, a := range p.rows {
@@ -154,37 +247,25 @@ func (p *verifyPlan) faultless(ctx context.Context, im *Imputer, m *engine.Match
 	return true
 }
 
-// build selects the relevant dependencies and arms the target rows. It
+// build registers the cell's terms and arms the target rows. It
 // returns false, leaving the plan pending, when the context expired.
-func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, sigmaPrime rfd.Set) bool {
-	p.lhs, p.rhs = slices.Grow(p.lhs[:0], len(sigmaPrime)), slices.Grow(p.rhs[:0], len(sigmaPrime))
-	if im.opts.Verify != VerifyOff {
-		for _, dep := range sigmaPrime {
-			for _, c := range dep.LHS {
-				if c.Attr == p.attr {
-					p.lhs = append(p.lhs, lhsTerm{dep: dep, th: c.Threshold})
-				}
-			}
-			if im.opts.Verify == VerifyBothSides && dep.RHS.Attr == p.attr {
-				p.rhs = append(p.rhs, dep)
-			}
-		}
-	}
-	if len(p.lhs) == 0 && len(p.rhs) == 0 {
+func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher) bool {
+	t := &p.rules.terms
+	if len(t.lhs) == 0 && len(t.rhs) == 0 {
 		p.state = planEmpty
 		return true
 	}
 	// The rest of each φ goes to the RowPass; θ_A is compared with
 	// Within per candidate, so it too must be in the exact range.
-	pass := m.Pass(sigmaPrime)
-	for k, l := range p.lhs {
+	pass := m.Pass(p.rules.sigma)
+	for k, l := range t.lhs {
 		if !engine.Exact(l.th) || !pass.Rule(l.dep, p.attr, true, k) {
 			p.state = planLiteral
 			return true
 		}
 	}
-	for k, dep := range p.rhs {
-		if !pass.Rule(dep, -1, false, k) {
+	for k, dep := range t.rhs {
+		if !pass.Rule(dep, -1, false, len(t.lhs)+k) {
 			p.state = planLiteral
 			return true
 		}
@@ -193,6 +274,7 @@ func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, 
 	attr := p.attr
 	n := v.TargetLen()
 	p.rows = slices.Grow(p.rows[:0], n)
+	var near, far [64]float64
 	pass.Scan(p.row, 0, n, false)
 	for pass.Next() {
 		if ctx.Err() != nil {
@@ -201,27 +283,25 @@ func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, 
 		for h := 0; h < pass.Rules(); h++ {
 			pass.And(h)
 		}
-		lo, armed := pass.Lo(), pass.Union()
-		for k := engine.NextBit(armed, 0); k >= 0; k = engine.NextBit(armed, k+1) {
-			i := lo + k
-			if v.IsNull(i, attr) {
-				// A null t_i[A] fails every A term, whatever t[A] holds.
-				continue
-			}
-			near := math.Inf(-1)
-			for h, l := range p.lhs {
-				if l.th > near && pass.Has(h, k) {
-					near = l.th
+		lo := pass.Lo()
+		for w := range pass.Set(0) {
+			hasNear := boundWord(pass, t.near, w, &near)
+			hasFar := boundWord(pass, t.far, w, &far)
+			for x := hasNear | hasFar; x != 0; x &= x - 1 {
+				b := bits.TrailingZeros64(x)
+				i := lo + w<<6 + b
+				if v.IsNull(i, attr) {
+					// A null t_i[A] fails every A term, whatever t[A] holds.
+					continue
 				}
-			}
-			far := math.Inf(1)
-			for h, dep := range p.rhs {
-				if th := dep.RHS.Threshold; th < far && pass.Has(len(p.lhs)+h, k) {
-					far = th
+				a := armedRow{i: i, near: math.Inf(-1), far: math.Inf(1)}
+				if hasNear>>b&1 != 0 {
+					a.near = near[b]
 				}
-			}
-			if near >= 0 || !math.IsInf(far, 1) {
-				p.rows = append(p.rows, armedRow{i: i, near: near, far: far})
+				if hasFar>>b&1 != 0 {
+					a.far = far[b]
+				}
+				p.rows = append(p.rows, a)
 			}
 		}
 	}
@@ -231,4 +311,23 @@ func (p *verifyPlan) build(ctx context.Context, im *Imputer, m *engine.Matcher, 
 		rec.Add(obs.CtrVerifyArmedRows, int64(len(p.rows)))
 	}
 	return true
+}
+
+// boundWord gives each row of word w of the block the bound of the
+// first group, in groups' order, whose OR of rule bitsets holds the
+// row, and returns the rows that got one.
+func boundWord(pass *engine.RowPass, groups []boundGroup, w int, th *[64]float64) uint64 {
+	var got uint64
+	for _, g := range groups {
+		var x uint64
+		for h := g.lo; h < g.hi; h++ {
+			x |= pass.Set(h)[w]
+		}
+		x &^= got
+		got |= x
+		for ; x != 0; x &= x - 1 {
+			th[bits.TrailingZeros64(x)] = g.th
+		}
+	}
+	return got
 }

@@ -113,15 +113,17 @@ func TestVerifyPlanMatchesAlgorithm4(t *testing.T) {
 			v := engine.Compile(rel.Clone())
 			m := v.Matcher()
 			var plan verifyPlan
+			var rules attrRules
 			for _, cell := range rel.MissingCells() {
-				plan.reset(cell.Row, cell.Attr)
+				rules.build(im, sigma, cell.Attr)
+				plan.reset(cell.Row, cell.Attr, &rules)
 				for j := 0; j < rel.Len(); j++ {
 					if j == cell.Row || v.IsNull(j, cell.Attr) {
 						continue
 					}
 					v.Set(cell.Row, cell.Attr, v.Value(j, cell.Attr))
 					want, _, _ := im.isFaultlessWitness(ctx, m, cell.Row, cell.Attr, sigma)
-					got := plan.faultless(ctx, im, m, sigma)
+					got := plan.faultless(ctx, im, m)
 					v.Set(cell.Row, cell.Attr, dataset.Null)
 					if got != want {
 						t.Fatalf("trial %d mode %d cell %+v donor %d: plan says %v, Algorithm 4 says %v\nsigma: %q",
@@ -152,7 +154,7 @@ func TestVerifyPlanMatchesAlgorithm4(t *testing.T) {
 // (every cell verified through its plan) and a run that traces every
 // cell (every candidate verified by the literal scan) agree on the
 // imputations, the output CSV and every Stats counter; only the phase
-// times may differ.
+// times may differ. Only the untraced run rejects values from the memo.
 func TestVerifyPlanWholeRunCars(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Cars workload")
@@ -209,6 +211,12 @@ func TestVerifyPlanWholeRunCars(t *testing.T) {
 	if n := tracedSnap.Counters["verify_plans"]; n != 0 {
 		t.Errorf("fully traced run planned %d cells, want 0", n)
 	}
+	if n := plannedSnap.Counters["verify_memo_hits"]; n == 0 {
+		t.Error("untraced run had no memo hit, want > 0")
+	}
+	if n := tracedSnap.Counters["verify_memo_hits"]; n != 0 {
+		t.Errorf("fully traced run had %d memo hits, want 0", n)
+	}
 }
 
 // TestVerifyPlanMultiWord is TestVerifyPlanMatchesAlgorithm4 on
@@ -231,8 +239,10 @@ func TestVerifyPlanMultiWord(t *testing.T) {
 			v := engine.Compile(rel.Clone())
 			m := v.Matcher()
 			var plan verifyPlan
+			var rules attrRules
 			for _, cell := range cells[:min(len(cells), 4)] {
-				plan.reset(cell.Row, cell.Attr)
+				rules.build(im, sigma, cell.Attr)
+				plan.reset(cell.Row, cell.Attr, &rules)
 				for k := 0; k < 12; k++ {
 					j := rng.Intn(rel.Len())
 					if j == cell.Row || v.IsNull(j, cell.Attr) {
@@ -240,7 +250,7 @@ func TestVerifyPlanMultiWord(t *testing.T) {
 					}
 					v.Set(cell.Row, cell.Attr, v.Value(j, cell.Attr))
 					want, _, _ := im.isFaultlessWitness(ctx, m, cell.Row, cell.Attr, sigma)
-					got := plan.faultless(ctx, im, m, sigma)
+					got := plan.faultless(ctx, im, m)
 					v.Set(cell.Row, cell.Attr, dataset.Null)
 					if got != want {
 						t.Fatalf("trial %d mode %d cell %+v donor %d: plan says %v, Algorithm 4 says %v\nsigma: %q",
@@ -256,4 +266,149 @@ func TestVerifyPlanMultiWord(t *testing.T) {
 	if armed == 0 {
 		t.Fatal("no armed plan on a multi-word instance")
 	}
+}
+
+// TestUntracedRunMatchesLiteralPath: on random mixed-kind instances, an
+// untraced run — Σ', Λ and the verify terms from the key tracker's
+// cache, every candidate through the cell's plan and its memo of
+// rejected values — agrees with a run that traces every cell, which
+// builds them afresh per cell and checks every candidate with the
+// literal Algorithm 4 scan. Imputations, the output CSV and Stats less
+// the phase times must be equal under every option set that changes
+// Algorithm 2's loop, and with a donor relation.
+func TestUntracedRunMatchesLiteralPath(t *testing.T) {
+	optionSets := []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"both-sides", []Option{WithVerifyMode(VerifyBothSides)}},
+		{"verify-off", []Option{WithVerifyMode(VerifyOff)}},
+		{"max-1", []Option{WithMaxCandidates(1)}},
+		{"max-2", []Option{WithMaxCandidates(2)}},
+		{"max-3", []Option{WithMaxCandidates(3)}},
+		{"no-ranking", []Option{WithoutRanking()}},
+		{"descending", []Option{WithClusterOrder(DescendingThreshold)}},
+		{"no-clustering", []Option{WithoutClustering()}},
+		{"no-key-reeval", []Option{WithoutKeyReevaluation()}},
+		{"donors", nil},
+	}
+	rng := rand.New(rand.NewSource(33))
+	var memoHits, keyFlips, cutoffs, nonFinite int64
+	for trial := 0; trial < 600; trial++ {
+		rel := randomMixedInstance(rng)
+		m := rel.Schema().Len()
+		sigma := randomSigmaLHS(rng, m)
+		if len(sigma) > 0 && rng.Intn(3) == 0 {
+			// A sibling with the same LHS and a NaN or +Inf RHS bound:
+			// under VerifyBothSides both fire on the same rows, and only
+			// the finite one may set the far bound.
+			dep := sigma[rng.Intn(len(sigma))]
+			th := []float64{math.NaN(), math.Inf(1)}[rng.Intn(2)]
+			sigma = append(sigma, rfd.MustNew(dep.LHS, rfd.Constraint{Attr: dep.RHS.Attr, Threshold: th}))
+		}
+		donors := dataset.NewRelation(rel.Schema())
+		for n := 1 + rng.Intn(8); donors.Len() < n; {
+			donors.MustAppend(randomMixedTuple(rng, rel.Schema()))
+		}
+		var tried int
+		for _, set := range optionSets {
+			run := func(opts ...Option) (*Result, []byte) {
+				t.Helper()
+				im := New(sigma, append(append([]Option(nil), set.opts...), opts...)...)
+				var res *Result
+				var err error
+				if set.name == "donors" {
+					res, err = im.ImputeWithDonors(rel, []*dataset.Relation{donors})
+				} else {
+					res, err = im.Impute(rel)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				var csv bytes.Buffer
+				if err := dataset.WriteCSV(&csv, res.Relation); err != nil {
+					t.Fatal(err)
+				}
+				return res, csv.Bytes()
+			}
+			rec := obs.NewMetrics()
+			fast, fastCSV := run(WithRecorder(rec))
+			literal, literalCSV := run(WithTracer(obs.NewRingTracer(rel.CountMissing(), 1)))
+			where := fmt.Sprintf("trial %d, %s\nsigma: %q", trial, set.name, formatRules(sigma, rel.Schema()))
+			if !sameImputations(fast.Imputations, literal.Imputations) {
+				t.Fatalf("%s: imputations diverge:\n untraced: %+v\n literal:  %+v", where, fast.Imputations, literal.Imputations)
+			}
+			if !bytes.Equal(fastCSV, literalCSV) {
+				t.Fatalf("%s: output CSV diverges", where)
+			}
+			a, b := fast.Stats, literal.Stats
+			a.Phases, b.Phases = PhaseTimes{}, PhaseTimes{}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: Stats diverge:\n untraced: %+v\n literal:  %+v", where, a, b)
+			}
+			snap := rec.Snapshot()
+			memoHits += snap.Counters["verify_memo_hits"]
+			keyFlips += int64(fast.Stats.KeyFlips)
+			switch set.name {
+			case "default":
+				tried = fast.Stats.CandidatesTried
+			case "max-1", "max-2", "max-3":
+				if fast.Stats.CandidatesTried != tried {
+					cutoffs++
+				}
+			case "both-sides":
+				if snap.Counters["verify_plans"] > 0 && hasNonFiniteFarSibling(sigma, rel) {
+					nonFinite++
+				}
+			}
+		}
+	}
+	t.Logf("memo hits %d, key flips %d, cut-off runs %d, planned runs with a non-finite RHS bound %d",
+		memoHits, keyFlips, cutoffs, nonFinite)
+	// The sweep must reach each path the untraced run takes and the
+	// literal one does not, or it proves nothing.
+	if memoHits == 0 || keyFlips == 0 || cutoffs == 0 || nonFinite == 0 {
+		t.Errorf("sweep missed a path: memo hits %d, key flips %d, cut-off runs %d, planned runs with a non-finite RHS bound %d",
+			memoHits, keyFlips, cutoffs, nonFinite)
+	}
+}
+
+// sameImputations is reflect.DeepEqual on imputation lists with the
+// float fields compared bit for bit, so that a NaN cluster threshold
+// equals itself.
+func sameImputations(a, b []Imputation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		x, y := a[k], b[k]
+		if math.Float64bits(x.Distance) != math.Float64bits(y.Distance) ||
+			math.Float64bits(x.ClusterThreshold) != math.Float64bits(y.ClusterThreshold) {
+			return false
+		}
+		x.Distance, x.ClusterThreshold, y.Distance, y.ClusterThreshold = 0, 0, 0, 0
+		if !reflect.DeepEqual(x, y) {
+			return false
+		}
+	}
+	return true
+}
+
+// hasNonFiniteFarSibling reports whether some attribute with a missing
+// cell has, under VerifyBothSides, both a far bound group and an RHS
+// term whose NaN or +Inf bound is left out of every group.
+func hasNonFiniteFarSibling(sigma rfd.Set, rel *dataset.Relation) bool {
+	var terms verifyTerms
+	for _, c := range rel.MissingCells() {
+		terms.build(VerifyBothSides, sigma, c.Attr)
+		grouped := 0
+		for _, g := range terms.far {
+			grouped += g.hi - g.lo
+		}
+		if grouped > 0 && grouped < len(terms.rhs) {
+			return true
+		}
+	}
+	return false
 }

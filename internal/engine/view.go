@@ -231,6 +231,27 @@ func (v *View) Value(flat, attr int) dataset.Value {
 	return v.rels[s+1].Get(row, attr)
 }
 
+// ValueKey names a cell's value as the view's columns hold it: its kind
+// and its interned string id or its numeric payload. Two cells of one
+// attribute with equal keys are interchangeable in every distance on
+// that attribute.
+type ValueKey struct {
+	kind dataset.Kind
+	bits uint64
+}
+
+// Key returns the ValueKey of the cell at (flat, attr).
+func (v *View) Key(flat, attr int) ValueKey {
+	c, r := v.colAt(attr, flat)
+	k := ValueKey{kind: c.kind[r]}
+	if k.kind == dataset.KindString {
+		k.bits = uint64(c.sid[r])
+	} else {
+		k.bits = math.Float64bits(c.num[r])
+	}
+	return k
+}
+
 // Set writes a target-relation cell through to both the relation and
 // the columnar form, so tentative imputations are immediately visible
 // to every evaluation. Frozen views (Shared.View) panic: their storage

@@ -118,6 +118,9 @@ const (
 	// CtrVerifyArmedRows counts the target rows those plans armed as
 	// potential IS_FAULTLESS witnesses.
 	CtrVerifyArmedRows
+	// CtrVerifyMemoHits counts candidates IS_FAULTLESS rejected without
+	// a check because their value was already rejected in the same cell.
+	CtrVerifyMemoHits
 
 	numCounters int = iota
 )
@@ -161,6 +164,7 @@ var counterNames = [...]string{
 
 	CtrVerifyPlans:     "verify_plans",
 	CtrVerifyArmedRows: "verify_armed_rows",
+	CtrVerifyMemoHits:  "verify_memo_hits",
 }
 
 // String returns the snake_case name used in snapshots.
@@ -320,6 +324,7 @@ var counterHelp = [...]string{
 
 	CtrVerifyPlans:     "Missing cells whose IS_FAULTLESS witness rows were planned once for all candidates.",
 	CtrVerifyArmedRows: "Target rows armed as potential IS_FAULTLESS witnesses by verify plans.",
+	CtrVerifyMemoHits:  "Candidates rejected without an IS_FAULTLESS check because their value was already rejected in the same cell.",
 }
 
 // Help returns the Prometheus HELP text for the counter.

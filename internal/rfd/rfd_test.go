@@ -1,6 +1,8 @@
 package rfd
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -267,6 +269,30 @@ func TestClusterGroupsEqualThresholds(t *testing.T) {
 	}
 	if clusters[1].Threshold != 2 || len(clusters[1].RFDs) != 2 {
 		t.Errorf("cluster 1 = %+v", clusters[1])
+	}
+}
+
+// TestClusterNaNThresholds: a NaN RHS threshold equals nothing, so each
+// such dependency is a cluster of its own; those clusters come first, in
+// set order, on every call.
+func TestClusterNaNThresholds(t *testing.T) {
+	rel := table2(t)
+	a := MustParse("Name(<=1) -> Phone(<=2)", rel.Schema())
+	b := MustParse("Class(<=1) -> Phone(<=0)", rel.Schema())
+	n1 := MustNew(a.LHS, Constraint{Attr: a.RHS.Attr, Threshold: math.NaN()})
+	n2 := MustNew(b.LHS, Constraint{Attr: b.RHS.Attr, Threshold: math.NaN()})
+	for run := 0; run < 20; run++ {
+		clusters := ClusterByRHSThreshold(Set{a, n1, b, n2})
+		var got []*RFD
+		for _, c := range clusters {
+			if len(c.RFDs) != 1 {
+				t.Fatalf("run %d: cluster %+v, want one member each", run, c)
+			}
+			got = append(got, c.RFDs[0])
+		}
+		if want := []*RFD{n1, n2, b, a}; !slices.Equal(got, want) {
+			t.Fatalf("run %d: cluster order %v, want %v", run, got, want)
+		}
 	}
 }
 

@@ -2,10 +2,11 @@ package rfd
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dataset"
@@ -93,16 +94,31 @@ type Cluster struct {
 // of Figure 1 consider clusters "from lowest to highest threshold values";
 // callers wanting the opposite order (Algorithm 2's literal line 1) can
 // reverse the slice.
+//
+// A cluster holds its members in set order. Thresholds that compare
+// equal (0 and -0) share a cluster, which carries the last member's
+// threshold; a NaN threshold equals nothing, so each such dependency is
+// a cluster of its own, and those clusters come first, in set order.
 func ClusterByRHSThreshold(s Set) []Cluster {
-	byTh := make(map[float64]Set)
-	for _, r := range s {
-		byTh[r.RHS.Threshold] = append(byTh[r.RHS.Threshold], r)
+	sorted := slices.Clone(s)
+	slices.SortStableFunc(sorted, func(a, b *RFD) int {
+		return cmp.Compare(a.RHS.Threshold, b.RHS.Threshold)
+	})
+	n := 0
+	for i, r := range sorted {
+		if i == 0 || r.RHS.Threshold != sorted[i-1].RHS.Threshold {
+			n++
+		}
 	}
-	out := make([]Cluster, 0, len(byTh))
-	for th, rs := range byTh {
-		out = append(out, Cluster{Threshold: th, RFDs: rs})
+	out := make([]Cluster, 0, n)
+	for lo := 0; lo < len(sorted); {
+		hi := lo + 1
+		for hi < len(sorted) && sorted[hi].RHS.Threshold == sorted[lo].RHS.Threshold {
+			hi++
+		}
+		out = append(out, Cluster{Threshold: sorted[hi-1].RHS.Threshold, RFDs: sorted[lo:hi:hi]})
+		lo = hi
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Threshold < out[j].Threshold })
 	return out
 }
 
